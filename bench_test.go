@@ -21,9 +21,11 @@ import (
 	"leasing/internal/lp"
 	"leasing/internal/metric"
 	"leasing/internal/parking"
+	"leasing/internal/reusable"
 	"leasing/internal/setcover"
 	"leasing/internal/sim"
 	"leasing/internal/steiner"
+	"leasing/internal/stream"
 	"leasing/internal/workload"
 )
 
@@ -251,7 +253,11 @@ func BenchmarkSetCoverLeaserArrive(b *testing.B) {
 }
 
 // BenchmarkFacilityLeaserStep micro-benchmarks one time step of the
-// Chapter 4 two-phase primal-dual with a 2-client batch over 5 sites.
+// Chapter 4 two-phase primal-dual with a 2-client batch over 5 sites. It
+// runs with ResetEachRound and the same fixed 2-client batch every step,
+// so the bidding history stays a few rounds' clients long: it never
+// exercises the growing-history cost of the default options, which
+// BenchmarkObserve/facility measures.
 func BenchmarkFacilityLeaserStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := lease.PowerConfig(2, 4, 0.5)
@@ -424,3 +430,180 @@ func BenchmarkSimRatiosSequential(b *testing.B) { benchRatiosWorkers(b, 1) }
 // BenchmarkSimRatiosParallel runs the same sweep on the GOMAXPROCS pool;
 // the summary is identical, only the wall clock changes.
 func BenchmarkSimRatiosParallel(b *testing.B) { benchRatiosWorkers(b, 0) }
+
+// observeEvents is the stream length of every BenchmarkObserve case.
+const observeEvents = 256
+
+// BenchmarkObserve measures each domain's stream.Leaser end to end the
+// way the serving engine drives it: one fresh leaser per iteration, fed
+// a seeded 256-event stream with default options, and a Snapshot after
+// every 4 events (the engine publishes one per submitted batch). One op
+// is the whole stream; ns/event divides by its length.
+func BenchmarkObserve(b *testing.B) {
+	for _, name := range []string{"parking", "parking-rand", "deadline", "setcover", "scld", "facility", "steiner", "reusable"} {
+		b.Run(name, func(b *testing.B) {
+			events, fresh := observeStream(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l := fresh()
+				for j, ev := range events {
+					if _, err := l.Observe(ev); err != nil {
+						b.Fatal(err)
+					}
+					if j%4 == 3 {
+						l.Snapshot()
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+		})
+	}
+}
+
+// observeStream builds a domain's 256-event benchmark stream (demand on
+// about half the steps, as cmd/leaseload synthesizes it) and a factory
+// of fresh leasers over it.
+func observeStream(b *testing.B, domain string) ([]stream.Event, func() stream.Leaser) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(11))
+	cfg := lease.PowerConfig(3, 4, 0.55)
+	const horizon = 4*observeEvents + 64
+	arr, err := workload.NewArrival("constant", 0.5, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	must := func(l stream.Leaser, err error) stream.Leaser {
+		if err != nil {
+			b.Fatal(err)
+		}
+		return l
+	}
+	var (
+		events []stream.Event
+		fresh  func() stream.Leaser
+	)
+	switch domain {
+	case "parking", "parking-rand", "reusable":
+		days := workload.ArrivalDays(rng, horizon, arr)[:observeEvents]
+		switch domain {
+		case "parking":
+			events = stream.Days(days)
+			fresh = func() stream.Leaser {
+				alg, err := parking.NewDeterministic(cfg)
+				return must(parking.NewLeaser(alg), err)
+			}
+		case "parking-rand":
+			events = stream.Days(days)
+			fresh = func() stream.Leaser {
+				alg, err := parking.NewRandomized(cfg, rand.New(rand.NewSource(12)))
+				return must(parking.NewLeaser(alg), err)
+			}
+		default:
+			events = make([]stream.Event, len(days))
+			for i, d := range days {
+				events[i] = stream.Event{Time: d, Payload: stream.Use{Dur: 1 + int64(rng.Intn(8))}}
+			}
+			fresh = func() stream.Leaser {
+				alg, err := reusable.NewOnline(cfg, 4, reusable.Options{})
+				return must(reusable.NewLeaser(alg), err)
+			}
+		}
+	case "deadline":
+		events = stream.Windows(workload.DeadlineArrivals(rng, horizon, arr, 12)[:observeEvents])
+		fresh = func() stream.Leaser {
+			alg, err := deadline.NewOnline(cfg)
+			return must(deadline.NewLeaser(alg), err)
+		}
+	case "setcover", "scld":
+		const elems, sets, delta = 32, 20, 3
+		fam, err := setcover.RandomFamily(rng, elems, sets, delta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		costs := setcover.RandomCosts(rng, sets, cfg, 0.5)
+		if domain == "setcover" {
+			arrivals := workload.ElementArrivals(rng, horizon, arr,
+				func() int { return rng.Intn(elems) }, func() int { return 1 + rng.Intn(2) })[:observeEvents]
+			inst, err := setcover.NewInstance(fam, cfg, costs, arrivals, setcover.PerArrival)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events = stream.Elements(arrivals)
+			fresh = func() stream.Leaser {
+				alg, err := setcover.NewOnline(inst, rand.New(rand.NewSource(12)), setcover.Options{})
+				return must(setcover.NewLeaser(alg), err)
+			}
+			break
+		}
+		arrivals := make([]deadline.SCLDArrival, 0, observeEvents)
+		for day := int64(0); len(arrivals) < observeEvents; day++ {
+			if rng.Intn(2) == 0 {
+				arrivals = append(arrivals, deadline.SCLDArrival{T: day, Elem: rng.Intn(elems), D: int64(rng.Intn(12))})
+			}
+		}
+		inst, err := deadline.NewSCLDInstance(fam, cfg, costs, arrivals)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = deadline.SCLDEvents(arrivals)
+		fresh = func() stream.Leaser {
+			alg, err := deadline.NewSCLDOnline(inst, rand.New(rand.NewSource(12)))
+			return must(deadline.NewSCLDStream(alg), err)
+		}
+	case "facility":
+		// Zero to two clients per step near one of six sites.
+		const sitesN = 6
+		sites := metric.RandomPoints(rng, sitesN, 50)
+		costs := make([][]float64, sitesN)
+		for i := range costs {
+			f := 1 + rng.Float64()*0.5
+			costs[i] = make([]float64, cfg.K())
+			for k := range costs[i] {
+				costs[i][k] = cfg.Cost(k) * f
+			}
+		}
+		batches := make([][]metric.Point, observeEvents)
+		for t := range batches {
+			for c := rng.Intn(3); c > 0; c-- {
+				s := sites[rng.Intn(sitesN)]
+				batches[t] = append(batches[t], metric.Point{X: s.X + rng.Float64()*4, Y: s.Y + rng.Float64()*4})
+			}
+		}
+		inst, err := facility.NewInstance(cfg, sites, costs, batches)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = stream.Batches(batches)
+		fresh = func() stream.Leaser {
+			alg, err := facility.NewOnline(inst, facility.Options{})
+			return must(facility.NewLeaser(alg), err)
+		}
+	case "steiner":
+		const terminals = 16
+		g, err := graph.RandomConnected(rng, terminals, 3*terminals, 1, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		connects, err := workload.ConnectArrivals(rng, horizon, arr, terminals)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs := make([]steiner.Request, observeEvents)
+		for i, c := range connects[:observeEvents] {
+			reqs[i] = steiner.Request{Time: c.T, S: c.S, T: c.U}
+		}
+		inst, err := steiner.NewInstance(g, cfg, reqs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = steiner.Events(reqs)
+		fresh = func() stream.Leaser {
+			alg, err := steiner.NewOnline(inst)
+			return must(steiner.NewLeaser(alg), err)
+		}
+	default:
+		b.Fatalf("unknown domain %q", domain)
+	}
+	return events, fresh
+}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"leasing/internal/lease"
@@ -113,5 +116,86 @@ func TestRatio(t *testing.T) {
 	}
 	if _, err := Ratio(1, 0); err == nil {
 		t.Error("Ratio with zero opt accepted")
+	}
+}
+
+func TestItemStoreJournal(t *testing.T) {
+	cfg := testConfig()
+	s, err := NewItemStore(cfg, [][]float64{{1, 3}, {2, 5}, {4, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buys := []ItemLease{
+		{Item: 2, K: 0, Start: 4}, {Item: 0, K: 1, Start: 8}, {Item: 2, K: 0, Start: 4},
+		{Item: 1, K: 0, Start: 0}, {Item: 0, K: 1, Start: 8}, {Item: 0, K: 0, Start: 2},
+	}
+	want := []ItemLease{buys[0], buys[1], buys[3], buys[5]} // purchase order, duplicates dropped
+	for _, il := range buys {
+		if _, err := s.Buy(il); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.BoughtSince(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("BoughtSince(0) = %v, want %v", got, want)
+	}
+	if got := s.BoughtSince(2); !reflect.DeepEqual(got, want[2:]) {
+		t.Errorf("BoughtSince(2) = %v, want %v", got, want[2:])
+	}
+	if got := s.BoughtSince(s.Count()); len(got) != 0 {
+		t.Errorf("BoughtSince(Count()) = %v, want empty", got)
+	}
+	// A failed Buy is not journaled either.
+	if _, err := s.Buy(ItemLease{Item: 3, K: 0, Start: 0}); err == nil {
+		t.Fatal("out-of-range item accepted")
+	}
+	if s.Count() != len(want) {
+		t.Errorf("Count = %d, want %d", s.Count(), len(want))
+	}
+}
+
+// TestItemStoreLeasesMatchesSortedSet checks the ordered walk of Leases
+// against sorting the purchased set, on random purchase sequences.
+func TestItemStoreLeasesMatchesSortedSet(t *testing.T) {
+	cfg := testConfig()
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		items := 1 + rng.Intn(6)
+		costs := make([][]float64, items)
+		for i := range costs {
+			costs[i] = []float64{1, 3}
+		}
+		s, err := NewItemStore(cfg, costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[ItemLease]struct{}{}
+		for n := rng.Intn(80); n > 0; n-- {
+			k := rng.Intn(cfg.K())
+			il := ItemLease{Item: rng.Intn(items), K: k, Start: cfg.Length(k) * int64(rng.Intn(12))}
+			fresh, err := s.Buy(il)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, dup := set[il]; fresh == dup {
+				t.Fatalf("seed %d: Buy(%v) fresh = %v with the triple already bought = %v", seed, il, fresh, dup)
+			}
+			set[il] = struct{}{}
+		}
+		want := make([]ItemLease, 0, len(set))
+		for il := range set {
+			want = append(want, il)
+		}
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].Item != want[b].Item {
+				return want[a].Item < want[b].Item
+			}
+			if want[a].K != want[b].K {
+				return want[a].K < want[b].K
+			}
+			return want[a].Start < want[b].Start
+		})
+		if got := s.Leases(); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: Leases = %v, want %v", seed, got, want)
+		}
 	}
 }

@@ -184,6 +184,10 @@ func (o *Online) Skips() int { return o.skips }
 // Leases returns the bought leases.
 func (o *Online) Leases() []lease.Lease { return o.store.Leases() }
 
+// BoughtSince exposes the store's purchase journal for the streaming
+// adapter's O(new) decision diff.
+func (o *Online) BoughtSince(n int) []lease.Lease { return o.store.BoughtSince(n) }
+
 // DualFeasible verifies no lease's accumulated contribution exceeds its
 // cost.
 func (o *Online) DualFeasible() bool {

@@ -10,6 +10,7 @@ import (
 	"leasing/internal/lease"
 	"leasing/internal/lp"
 	"leasing/internal/setcover"
+	"leasing/internal/stream"
 )
 
 // SCLDArrival is one demand of SetCoverLeasingWithDeadlines: element Elem
@@ -89,7 +90,7 @@ type SCLDOnline struct {
 	draws     int
 	frac      map[setcover.SetLease]float64
 	mu        map[setcover.SetLease]float64
-	bought    map[setcover.SetLease]struct{}
+	bought    stream.Journal[setcover.SetLease]
 	total     float64
 	fracCost  float64
 	fallbacks int
@@ -107,12 +108,11 @@ func NewSCLDOnline(inst *SCLDInstance, rng *rand.Rand) (*SCLDOnline, error) {
 		draws = 1
 	}
 	return &SCLDOnline{
-		inst:   inst,
-		rng:    rng,
-		draws:  draws,
-		frac:   make(map[setcover.SetLease]float64),
-		mu:     make(map[setcover.SetLease]float64),
-		bought: make(map[setcover.SetLease]struct{}),
+		inst:  inst,
+		rng:   rng,
+		draws: draws,
+		frac:  make(map[setcover.SetLease]float64),
+		mu:    make(map[setcover.SetLease]float64),
 	}, nil
 }
 
@@ -165,12 +165,12 @@ func (o *SCLDOnline) Arrive(t int64, e int, d int64) error {
 
 	covered := false
 	for _, c := range cands {
-		if _, ok := o.bought[c]; ok {
+		if o.bought.Has(c) {
 			covered = true
 			continue
 		}
 		if o.frac[c] > o.threshold(c) {
-			o.bought[c] = struct{}{}
+			o.bought.Add(c)
 			o.total += o.inst.Costs[c.Set][c.K]
 			covered = true
 		}
@@ -186,7 +186,7 @@ func (o *SCLDOnline) Arrive(t int64, e int, d int64) error {
 			best, bestCost = c, cc
 		}
 	}
-	o.bought[best] = struct{}{}
+	o.bought.Add(best)
 	o.total += bestCost
 	return nil
 }
@@ -213,13 +213,14 @@ func (o *SCLDOnline) Fallbacks() int { return o.fallbacks }
 // Bought returns the leased triples in canonical (set, type, start)
 // order, so snapshots built from it are identical across runs.
 func (o *SCLDOnline) Bought() []setcover.SetLease {
-	out := make([]setcover.SetLease, 0, len(o.bought))
-	for sl := range o.bought {
-		out = append(out, sl)
-	}
+	out := append(make([]setcover.SetLease, 0, o.bought.Len()), o.bought.Since(0)...)
 	setcover.SortSetLeases(out)
 	return out
 }
+
+// BoughtSince returns the triples leased after the first n, in purchase
+// order, for the streaming adapter's O(new) decision diff.
+func (o *SCLDOnline) BoughtSince(n int) []setcover.SetLease { return o.bought.Since(n) }
 
 // VerifySCLDFeasible checks every arrival has a bought triple of a
 // containing set whose window intersects the arrival's window.

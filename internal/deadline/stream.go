@@ -13,7 +13,7 @@ import (
 // one flexible client (t, d).
 type Leaser struct {
 	alg      *Online
-	seen     map[lease.Lease]struct{}
+	bought   stream.Cursor[lease.Lease]
 	lastCost float64
 }
 
@@ -21,7 +21,7 @@ var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps an OLD algorithm as a stream.Leaser.
 func NewLeaser(alg *Online) *Leaser {
-	return &Leaser{alg: alg, seen: make(map[lease.Lease]struct{})}
+	return &Leaser{alg: alg, bought: stream.NewCursor(alg.BoughtSince)}
 }
 
 // Observe implements stream.Leaser. It accepts Window payloads.
@@ -33,18 +33,9 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Arrive(ev.Time, p.D); err != nil {
 		return stream.Decision{}, err
 	}
-	// A client served for free (skip rule) left the total bit-identical;
-	// skip the O(L) purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
 	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
 	l.lastCost = l.alg.TotalCost()
-	for _, ls := range l.alg.Leases() {
-		if _, ok := l.seen[ls]; ok {
-			continue
-		}
-		l.seen[ls] = struct{}{}
+	for _, ls := range l.bought.Next() {
 		d.Leases = append(d.Leases, stream.ItemLease{Item: 0, K: ls.K, Start: ls.Start})
 	}
 	stream.SortItemLeases(d.Leases)
@@ -72,7 +63,8 @@ func (l *Leaser) Snapshot() stream.Solution {
 // deadline demand (element, window).
 type SCLDStream struct {
 	alg      *SCLDOnline
-	seen     map[setcover.SetLease]struct{}
+	bought   stream.Cursor[setcover.SetLease]
+	leases   []stream.ItemLease // every purchase, in canonical order
 	lastCost float64
 }
 
@@ -80,7 +72,7 @@ var _ stream.Leaser = (*SCLDStream)(nil)
 
 // NewSCLDStream wraps an SCLD algorithm as a stream.Leaser.
 func NewSCLDStream(alg *SCLDOnline) *SCLDStream {
-	return &SCLDStream{alg: alg, seen: make(map[setcover.SetLease]struct{})}
+	return &SCLDStream{alg: alg, bought: stream.NewCursor(alg.BoughtSince)}
 }
 
 // Observe implements stream.Leaser. It accepts ElementWindow payloads.
@@ -92,21 +84,13 @@ func (l *SCLDStream) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Arrive(ev.Time, p.Elem, p.D); err != nil {
 		return stream.Decision{}, err
 	}
-	// A demand covered by existing triples left the total bit-identical;
-	// skip the O(L) purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
 	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
 	l.lastCost = l.alg.TotalCost()
-	for sl := range l.alg.bought {
-		if _, ok := l.seen[sl]; ok {
-			continue
-		}
-		l.seen[sl] = struct{}{}
+	for _, sl := range l.bought.Next() {
 		d.Leases = append(d.Leases, stream.ItemLease{Item: sl.Set, K: sl.K, Start: sl.Start})
 	}
 	stream.SortItemLeases(d.Leases)
+	l.leases = stream.MergeItemLeases(l.leases, d.Leases)
 	return d, nil
 }
 
@@ -117,13 +101,7 @@ func (l *SCLDStream) Cost() stream.CostBreakdown {
 
 // Snapshot implements stream.Leaser.
 func (l *SCLDStream) Snapshot() stream.Solution {
-	bought := l.alg.Bought()
-	sol := stream.Solution{Leases: make([]stream.ItemLease, len(bought))}
-	for i, sl := range bought {
-		sol.Leases[i] = stream.ItemLease{Item: sl.Set, K: sl.K, Start: sl.Start}
-	}
-	stream.SortItemLeases(sol.Leases)
-	return sol
+	return stream.Solution{Leases: append(make([]stream.ItemLease, 0, len(l.leases)), l.leases...)}
 }
 
 // SCLDEvents converts SCLD arrivals into ElementWindow events.

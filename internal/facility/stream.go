@@ -10,19 +10,25 @@ import (
 // Leaser adapts the facility-leasing Online algorithm to the unified
 // stream protocol. Items are site indices; each Batch payload is one
 // Step, and new client connections surface as Decision assignments.
+// Purchases and assignments are read off the algorithm's append-only
+// logs, so a decision costs O(new).
 type Leaser struct {
 	alg      *Online
-	seen     map[core.ItemLease]struct{}
-	assigned int
+	bought   stream.Cursor[core.ItemLease]
+	assigned stream.Cursor[Assignment]
+	assigns  []stream.Assignment // every assignment so far, for snapshots
 	lastCost float64
-	leases   int
 }
 
 var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps a facility-leasing algorithm as a stream.Leaser.
 func NewLeaser(alg *Online) *Leaser {
-	return &Leaser{alg: alg, seen: make(map[core.ItemLease]struct{})}
+	return &Leaser{
+		alg:      alg,
+		bought:   stream.NewCursor(alg.store.BoughtSince),
+		assigned: stream.NewCursor(alg.AssignmentsSince),
+	}
 }
 
 // Observe implements stream.Leaser. It accepts Batch payloads (an empty
@@ -37,26 +43,14 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	}
 	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
 	l.lastCost = l.alg.TotalCost()
-	// The store only grows, so an unchanged count means no new triples
-	// and the O(L log L) enumeration can be skipped.
-	if n := l.alg.store.Count(); n != l.leases {
-		l.leases = n
-		for _, il := range l.alg.store.Leases() {
-			if _, ok := l.seen[il]; ok {
-				continue
-			}
-			l.seen[il] = struct{}{}
-			d.Leases = append(d.Leases, il)
-		}
+	if bought := l.bought.Next(); len(bought) > 0 {
+		d.Leases = append([]core.ItemLease(nil), bought...)
 		stream.SortItemLeases(d.Leases)
 	}
-	// Clients are only ever appended (round resets preserve arrival
-	// order across archived+live), so the new assignments are the tail.
-	if len(p.Clients) > 0 {
-		assigns := l.assignments()
-		d.Assignments = assigns[l.assigned:]
-		l.assigned = len(assigns)
+	for _, a := range l.assigned.Next() {
+		d.Assignments = append(d.Assignments, stream.Assignment{Item: a.Facility, K: a.K, Cost: a.Dist})
 	}
+	l.assigns = append(l.assigns, d.Assignments...)
 	return d, nil
 }
 
@@ -67,19 +61,8 @@ func (l *Leaser) Cost() stream.CostBreakdown {
 
 // Snapshot implements stream.Leaser.
 func (l *Leaser) Snapshot() stream.Solution {
-	sol := stream.Solution{
+	return stream.Solution{
 		Leases:      l.alg.store.Leases(),
-		Assignments: l.assignments(),
+		Assignments: append(make([]stream.Assignment, 0, len(l.assigns)), l.assigns...),
 	}
-	stream.SortItemLeases(sol.Leases)
-	return sol
-}
-
-func (l *Leaser) assignments() []stream.Assignment {
-	_, native := l.alg.Solution()
-	out := make([]stream.Assignment, len(native))
-	for i, a := range native {
-		out[i] = stream.Assignment{Item: a.Facility, K: a.K, Cost: a.Dist}
-	}
-	return out
 }

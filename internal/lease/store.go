@@ -75,7 +75,7 @@ func (s *Store) coversWithType(k int, t int64) bool {
 func (s *Store) TotalCost() float64 { return s.total }
 
 // Count returns the number of distinct leases bought.
-func (s *Store) Count() int { return len(s.bought) }
+func (s *Store) Count() int { return len(s.journal) }
 
 // BoughtSince returns the leases bought after the first n, in buy
 // order. A caller that remembers Count() between calls reads each new
@@ -85,18 +85,15 @@ func (s *Store) Count() int { return len(s.bought) }
 func (s *Store) BoughtSince(n int) []Lease { return s.journal[n:] }
 
 // Leases returns the bought leases in deterministic order (by type, then
-// start time).
+// start time). The per-type start index is already in that order, so
+// this is a walk, not a sort.
 func (s *Store) Leases() []Lease {
-	out := make([]Lease, 0, len(s.bought))
-	for l := range s.bought {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].K != out[j].K {
-			return out[i].K < out[j].K
+	out := make([]Lease, 0, len(s.journal))
+	for k, ss := range s.starts {
+		for _, st := range ss {
+			out = append(out, Lease{K: k, Start: st})
 		}
-		return out[i].Start < out[j].Start
-	})
+	}
 	return out
 }
 

@@ -9,22 +9,21 @@ import (
 
 // Leaser adapts any parking-permit Algorithm (deterministic, randomized or
 // predictive) to the unified stream protocol. The single resource is item
-// 0; the adapter delegates every demand to the native Arrive and diffs the
-// purchase set to report incremental decisions.
+// 0; the adapter delegates every demand to the native Arrive and reads
+// the leases it bought off a purchase journal.
 type Leaser struct {
 	alg      Algorithm
-	journal  purchaseJournal          // non-nil: O(new) diff via the store's buy journal
-	cursor   int                      // leases already reported from the journal
-	seen     map[lease.Lease]struct{} // fallback diff for algorithms without a journal
+	mirror   *stream.Journal[lease.Lease] // non-nil for algorithms without a journal
+	bought   stream.Cursor[lease.Lease]
 	lastCost float64
 }
 
-// purchaseJournal is the fast diff path: the built-in algorithms expose
-// their store's append-only purchase journal, so the adapter reads each
-// new lease exactly once instead of rebuilding and sorting the full
-// purchase set per buying demand (which made long streams quadratic).
-// External Algorithm implementations without it fall back to the
-// purchase-set diff.
+// purchaseJournal is what the built-in algorithms expose: their store's
+// append-only purchase journal, so the adapter reads each new lease
+// exactly once instead of rebuilding and sorting the full purchase set
+// per buying demand (which made long streams quadratic). External
+// Algorithm implementations without it are mirrored into a journal from
+// Leases on every buying demand.
 type purchaseJournal interface {
 	BoughtSince(n int) []lease.Lease
 }
@@ -35,9 +34,10 @@ var _ stream.Leaser = (*Leaser)(nil)
 func NewLeaser(alg Algorithm) *Leaser {
 	l := &Leaser{alg: alg}
 	if j, ok := alg.(purchaseJournal); ok {
-		l.journal = j
+		l.bought = stream.NewCursor(j.BoughtSince)
 	} else {
-		l.seen = make(map[lease.Lease]struct{})
+		l.mirror = &stream.Journal[lease.Lease]{}
+		l.bought = stream.NewCursor(l.mirror.Since)
 	}
 	return l
 }
@@ -50,27 +50,17 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Arrive(ev.Time); err != nil {
 		return stream.Decision{}, err
 	}
-	// A demand that bought nothing left the store untouched, so the total
-	// is bit-identical; skip the O(L) purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
 	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
-	l.lastCost = l.alg.TotalCost()
-	if l.journal != nil {
-		bought := l.journal.BoughtSince(l.cursor)
-		l.cursor += len(bought)
-		for _, ls := range bought {
-			d.Leases = append(d.Leases, stream.ItemLease{Item: 0, K: ls.K, Start: ls.Start})
-		}
-	} else {
+	// A demand that left the total bit-identical bought nothing, so
+	// the mirror only needs a refresh when it moved.
+	if l.mirror != nil && l.alg.TotalCost() != l.lastCost {
 		for _, ls := range l.alg.Leases() {
-			if _, ok := l.seen[ls]; ok {
-				continue
-			}
-			l.seen[ls] = struct{}{}
-			d.Leases = append(d.Leases, stream.ItemLease{Item: 0, K: ls.K, Start: ls.Start})
+			l.mirror.Add(ls)
 		}
+	}
+	l.lastCost = l.alg.TotalCost()
+	for _, ls := range l.bought.Next() {
+		d.Leases = append(d.Leases, stream.ItemLease{Item: 0, K: ls.K, Start: ls.Start})
 	}
 	stream.SortItemLeases(d.Leases)
 	return d, nil

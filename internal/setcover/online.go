@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"leasing/internal/stream"
 )
 
 // Options tunes the online algorithm.
@@ -28,7 +30,7 @@ type Online struct {
 	draws  int
 	frac   map[SetLease]float64
 	mu     map[SetLease]float64
-	bought map[SetLease]struct{}
+	bought stream.Journal[SetLease]
 	// usedByElem tracks, per element, the sets counted for earlier arrivals
 	// (PerElement scope only).
 	usedByElem map[int]map[int]bool
@@ -65,7 +67,6 @@ func NewOnline(inst *Instance, rng *rand.Rand, opts Options) (*Online, error) {
 		draws:      draws,
 		frac:       make(map[SetLease]float64),
 		mu:         make(map[SetLease]float64),
-		bought:     make(map[SetLease]struct{}),
 		usedByElem: make(map[int]map[int]bool),
 	}, nil
 }
@@ -87,10 +88,9 @@ func (o *Online) threshold(sl SetLease) float64 {
 }
 
 func (o *Online) buy(sl SetLease) bool {
-	if _, ok := o.bought[sl]; ok {
+	if !o.bought.Add(sl) {
 		return false
 	}
-	o.bought[sl] = struct{}{}
 	o.total += o.inst.Costs[sl.Set][sl.K]
 	return true
 }
@@ -164,7 +164,7 @@ func (o *Online) coverOnce(t int64, e int, exclude map[int]bool) (int, error) {
 	chosenCost := math.Inf(1)
 	for _, c := range cands {
 		leased := false
-		if _, ok := o.bought[c]; ok {
+		if o.bought.Has(c) {
 			leased = true
 		} else if o.frac[c] > o.threshold(c) {
 			o.buy(c)
@@ -217,13 +217,14 @@ func (o *Online) Fallbacks() int { return o.fallbacks }
 // Bought returns the leased triples in canonical (set, type, start)
 // order, so snapshots built from it are identical across runs.
 func (o *Online) Bought() []SetLease {
-	out := make([]SetLease, 0, len(o.bought))
-	for sl := range o.bought {
-		out = append(out, sl)
-	}
+	out := append(make([]SetLease, 0, o.bought.Len()), o.bought.Since(0)...)
 	SortSetLeases(out)
 	return out
 }
+
+// BoughtSince returns the triples leased after the first n, in purchase
+// order, for the streaming adapter's O(new) decision diff.
+func (o *Online) BoughtSince(n int) []SetLease { return o.bought.Since(n) }
 
 // VerifyFeasible replays the instance stream against the final solution and
 // checks every arrival is covered by the required number of distinct sets.

@@ -8,10 +8,12 @@ import (
 
 // Leaser adapts the set-multicover Online algorithm to the unified stream
 // protocol. Items are set indices; every Element payload is delegated to
-// the native Arrive and the purchase set is diffed into the decision.
+// the native Arrive and the purchases it made are read off the
+// algorithm's journal into the decision.
 type Leaser struct {
 	alg      *Online
-	seen     map[SetLease]struct{}
+	bought   stream.Cursor[SetLease]
+	leases   []stream.ItemLease // every purchase, in canonical order
 	lastCost float64
 }
 
@@ -19,7 +21,7 @@ var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps a set-multicover algorithm as a stream.Leaser.
 func NewLeaser(alg *Online) *Leaser {
-	return &Leaser{alg: alg, seen: make(map[SetLease]struct{})}
+	return &Leaser{alg: alg, bought: stream.NewCursor(alg.BoughtSince)}
 }
 
 // Observe implements stream.Leaser. It accepts Element payloads.
@@ -31,21 +33,13 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Arrive(ev.Time, p.Elem, p.P); err != nil {
 		return stream.Decision{}, err
 	}
-	// A demand served by existing leases left the total bit-identical;
-	// skip the O(L) purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
 	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
 	l.lastCost = l.alg.TotalCost()
-	for sl := range l.alg.bought {
-		if _, ok := l.seen[sl]; ok {
-			continue
-		}
-		l.seen[sl] = struct{}{}
+	for _, sl := range l.bought.Next() {
 		d.Leases = append(d.Leases, stream.ItemLease{Item: sl.Set, K: sl.K, Start: sl.Start})
 	}
 	stream.SortItemLeases(d.Leases)
+	l.leases = stream.MergeItemLeases(l.leases, d.Leases)
 	return d, nil
 }
 
@@ -56,11 +50,5 @@ func (l *Leaser) Cost() stream.CostBreakdown {
 
 // Snapshot implements stream.Leaser.
 func (l *Leaser) Snapshot() stream.Solution {
-	bought := l.alg.Bought()
-	sol := stream.Solution{Leases: make([]stream.ItemLease, len(bought))}
-	for i, sl := range bought {
-		sol.Leases[i] = stream.ItemLease{Item: sl.Set, K: sl.K, Start: sl.Start}
-	}
-	stream.SortItemLeases(sol.Leases)
-	return sol
+	return stream.Solution{Leases: append(make([]stream.ItemLease, 0, len(l.leases)), l.leases...)}
 }

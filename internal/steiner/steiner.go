@@ -75,6 +75,7 @@ func edgeConfig(cfg *lease.Config, weight float64) *lease.Config {
 type Online struct {
 	inst    *Instance
 	perEdge []*parking.Deterministic
+	fed     []int // edges whose permit the last Serve fed a demand
 	total   float64
 	lastT   int64
 	started bool
@@ -101,6 +102,7 @@ func (o *Online) Serve(r Request) error {
 		return fmt.Errorf("steiner: request at %d precedes %d", r.Time, o.lastT)
 	}
 	o.started, o.lastT = true, r.Time
+	o.fed = o.fed[:0]
 
 	marginal := func(e int) float64 {
 		if o.perEdge[e].Covers(r.Time) {
@@ -125,6 +127,7 @@ func (o *Online) Serve(r Request) error {
 			continue
 		}
 		before := o.perEdge[e].TotalCost()
+		o.fed = append(o.fed, e)
 		if err := o.perEdge[e].Arrive(r.Time); err != nil {
 			return fmt.Errorf("steiner: edge %d lease: %w", e, err)
 		}

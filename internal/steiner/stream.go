@@ -10,10 +10,11 @@ import (
 
 // Leaser adapts the composed Steiner-tree-leasing algorithm to the
 // unified stream protocol. Items are edge indices; each Connect payload is
-// one communication request.
+// one communication request. Every edge's parking permit keeps its own
+// purchase journal, read through one cursor per edge.
 type Leaser struct {
 	alg      *Online
-	seen     map[core.ItemLease]struct{}
+	bought   []stream.Cursor[lease.Lease] // per edge
 	lastCost float64
 }
 
@@ -21,7 +22,11 @@ var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps a Steiner-tree-leasing algorithm as a stream.Leaser.
 func NewLeaser(alg *Online) *Leaser {
-	return &Leaser{alg: alg, seen: make(map[core.ItemLease]struct{})}
+	l := &Leaser{alg: alg, bought: make([]stream.Cursor[lease.Lease], len(alg.perEdge))}
+	for e, p := range alg.perEdge {
+		l.bought[e] = stream.NewCursor(p.BoughtSince)
+	}
+	return l
 }
 
 // Observe implements stream.Leaser. It accepts Connect payloads.
@@ -33,19 +38,13 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Serve(Request{Time: ev.Time, S: p.S, T: p.T}); err != nil {
 		return stream.Decision{}, err
 	}
-	// A request routed over active edges left the total bit-identical;
-	// skip the all-edges purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
 	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
 	l.lastCost = l.alg.TotalCost()
-	for _, il := range l.alg.EdgeLeases() {
-		if _, ok := l.seen[il]; ok {
-			continue
+	// Only the permits this request fed can have bought.
+	for _, e := range l.alg.fed {
+		for _, ls := range l.bought[e].Next() {
+			d.Leases = append(d.Leases, core.ItemLease{Item: e, K: ls.K, Start: ls.Start})
 		}
-		l.seen[il] = struct{}{}
-		d.Leases = append(d.Leases, il)
 	}
 	stream.SortItemLeases(d.Leases)
 	return d, nil
@@ -62,7 +61,8 @@ func (l *Leaser) Snapshot() stream.Solution {
 }
 
 // EdgeLeases returns every lease bought across the per-edge parking
-// permits as (edge, type, start) triples, sorted by (edge, type, start).
+// permits as (edge, type, start) triples, sorted by (edge, type, start):
+// edges in index order, each edge's leases by (type, start).
 func (o *Online) EdgeLeases() []core.ItemLease {
 	var out []core.ItemLease
 	for e, alg := range o.perEdge {
@@ -70,7 +70,6 @@ func (o *Online) EdgeLeases() []core.ItemLease {
 			out = append(out, core.ItemLease{Item: e, K: ls.K, Start: ls.Start})
 		}
 	}
-	stream.SortItemLeases(out)
 	return out
 }
 

@@ -20,7 +20,8 @@
 package stream
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"leasing/internal/core"
 	"leasing/internal/metric"
@@ -152,14 +153,33 @@ type Leaser interface {
 
 // SortItemLeases orders triples by (item, type, start), the canonical
 // order of Decision and Solution lease lists.
-func SortItemLeases(ls []ItemLease) {
-	sort.Slice(ls, func(a, b int) bool {
-		if ls[a].Item != ls[b].Item {
-			return ls[a].Item < ls[b].Item
+func SortItemLeases(ls []ItemLease) { slices.SortFunc(ls, compareItemLeases) }
+
+// MergeItemLeases merges news into sorted, both in canonical order, and
+// returns the merged list (sorted's array is reused when it has room).
+// Adapters that keep their snapshot's lease list sorted use it to add a
+// decision's purchases in O(L) instead of re-sorting the whole set.
+func MergeItemLeases(sorted, news []ItemLease) []ItemLease {
+	i, j := len(sorted)-1, len(news)-1
+	out := append(sorted, news...)
+	for w := len(out) - 1; j >= 0; w-- {
+		if i >= 0 && compareItemLeases(out[i], news[j]) > 0 {
+			out[w] = out[i]
+			i--
+		} else {
+			out[w] = news[j]
+			j--
 		}
-		if ls[a].K != ls[b].K {
-			return ls[a].K < ls[b].K
-		}
-		return ls[a].Start < ls[b].Start
-	})
+	}
+	return out
+}
+
+func compareItemLeases(a, b ItemLease) int {
+	if c := cmp.Compare(a.Item, b.Item); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.K, b.K); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Start, b.Start)
 }

@@ -132,3 +132,40 @@ func TestSortItemLeases(t *testing.T) {
 		t.Errorf("sorted = %v", ls)
 	}
 }
+
+func TestJournalCursorReadsEachEntryOnce(t *testing.T) {
+	var j Journal[int]
+	c := NewCursor(j.Since)
+	if got := c.Next(); len(got) != 0 {
+		t.Fatalf("empty journal: Next = %v", got)
+	}
+	for _, x := range []int{5, 3, 5, 9} {
+		j.Add(x)
+	}
+	if got := c.Next(); !reflect.DeepEqual(got, []int{5, 3, 9}) {
+		t.Fatalf("Next = %v, want [5 3 9] (record order, duplicates dropped)", got)
+	}
+	if j.Add(3) || !j.Has(3) || j.Has(4) || j.Len() != 3 {
+		t.Fatal("Add/Has/Len disagree with the recorded set")
+	}
+	if got := c.Next(); len(got) != 0 {
+		t.Fatalf("nothing new: Next = %v", got)
+	}
+	j.Add(4)
+	if got := c.Next(); !reflect.DeepEqual(got, []int{4}) {
+		t.Fatalf("Next = %v, want [4]", got)
+	}
+}
+
+func TestMergeItemLeases(t *testing.T) {
+	sorted := []ItemLease{{Item: 0, K: 1, Start: 4}, {Item: 2, K: 0, Start: 0}, {Item: 2, K: 0, Start: 8}}
+	news := []ItemLease{{Item: 0, K: 0, Start: 9}, {Item: 2, K: 0, Start: 4}, {Item: 3, K: 0, Start: 0}}
+	want := append(append([]ItemLease(nil), sorted...), news...)
+	SortItemLeases(want)
+	if got := MergeItemLeases(sorted, news); !reflect.DeepEqual(got, want) {
+		t.Errorf("MergeItemLeases = %v, want %v", got, want)
+	}
+	if got := MergeItemLeases(nil, nil); got != nil {
+		t.Errorf("merging nothing into nil = %v, want nil", got)
+	}
+}
