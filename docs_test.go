@@ -154,7 +154,9 @@ func TestReadmeFlagsExist(t *testing.T) {
 		// `go test` / `go build` flags appearing in the docs' command
 		// lines.
 		"bench": true, "benchmem": true, "race": true, "run": true,
-		"o": true, "update": true,
+		"o": true, "update": true, "benchtime": true, "cpuprofile": true,
+		// `go tool pprof` flags appearing in docs/PROFILES.md.
+		"top": true, "nodecount": true,
 		// `go vet` flags appearing in docs/LINTING.md's command lines.
 		"vettool": true,
 	}
