@@ -1,18 +1,20 @@
 package leasing_test
 
-// Golden digests pin the exact output of the leasers whose internals are
-// incremental (facility's phase 1, the journaled purchase cursors of the
-// set-cover, Steiner, deadline and parking adapters). Each case replays
-// several seeded streams and hashes, per stream, the run in the wire's
-// binary encoding (bit-exact floats, nil distinct from empty), the final
-// cost breakdown and the %#v rendering of the final snapshot, plus the
-// snapshots taken every 4 events on a second fresh leaser, the way the
-// serving engine publishes them. An optimisation that changes a single
-// output bit changes the digest.
+// Golden digests pin the exact output of every domain's leaser: the
+// incremental internals (facility's phase 1, the journaled purchase
+// cursors) and the stream adapter in front of each algorithm. Each case
+// replays several seeded streams and hashes, per stream, the run in the
+// wire's binary encoding (bit-exact floats, nil distinct from empty), the
+// final cost breakdown and the %#v rendering of the final snapshot, plus
+// the snapshots taken every 4 events on a second fresh leaser, the way
+// the serving engine publishes them. An optimisation that changes a
+// single output bit changes the digest.
 //
-// The digests were captured from the straightforward (re-sort and
-// re-diff everything per event) implementation; they must never be
-// regenerated to make a change pass.
+// Each digest was captured from the code before the change it guards:
+// the incremental cases from the straightforward (re-sort and re-diff
+// everything per event) implementation, the parking journal and reusable
+// cases from the hand-written per-domain stream adapters. They must never
+// be regenerated to make a change pass.
 
 import (
 	"crypto/sha256"
@@ -29,6 +31,7 @@ import (
 	"leasing/internal/lease"
 	"leasing/internal/metric"
 	"leasing/internal/parking"
+	"leasing/internal/reusable"
 	"leasing/internal/setcover"
 	"leasing/internal/steiner"
 	"leasing/internal/stream"
@@ -58,6 +61,10 @@ func TestGoldenDigests(t *testing.T) {
 		{"deadline/old", "17342b00be438442fb85a346e77422278b230aedbbd38c7a5c1f7236581038e4", goldenDeadline},
 		{"deadline/scld", "7bf0b77ac451916dbb7d32c08e0c6db91f98d0bfb0a2fdadb168a298c350f789", goldenSCLD},
 		{"parking/no-journal", "a62de6f1ba07649790748b733652b87c37defc95d64c3052e105efe28a855eda", goldenParkingNoJournal},
+		{"parking/deterministic", "588aa74a034e01f4fafff05c776d46458249eeda91c6eb9c7428fe76587229fa", goldenParking(false)},
+		{"parking/randomized", "bcd4530c74f224013e9b67164804d206f49a94d6e581d90b1efeb41bce6300df", goldenParking(true)},
+		{"reusable/worst-case", "2c0ff88bbbd1ff86ffbf3113175eb6ba4a6fac9504fe392fc53698a003d4c192", goldenReusable(reusable.Options{})},
+		{"reusable/predicted", "e548a147855787deac805a31643fe2e971eba4512a25f94111dea42adbbc3aa4", goldenReusable(reusable.Options{Prediction: 0.35})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -331,5 +338,55 @@ func goldenParkingNoJournal(t *testing.T, seed int64) ([]stream.Event, func() st
 			t.Fatal(err)
 		}
 		return parking.NewLeaser(noJournal{alg})
+	}
+}
+
+// goldenParking streams demand days to the built-in parking-permit
+// algorithms, which the adapter reads through their purchase journal.
+func goldenParking(randomized bool) func(*testing.T, int64) ([]stream.Event, func() stream.Leaser) {
+	return func(t *testing.T, seed int64) ([]stream.Event, func() stream.Leaser) {
+		rng := rand.New(rand.NewSource(seed))
+		arr, err := workload.NewArrival("bursty", 0.5, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		days := workload.ArrivalDays(rng, 400, arr)
+		return stream.Days(days), func() stream.Leaser {
+			var (
+				alg parking.Algorithm
+				err error
+			)
+			if randomized {
+				alg, err = parking.NewRandomized(goldenConfig(), rand.New(rand.NewSource(seed+1)))
+			} else {
+				alg, err = parking.NewDeterministic(goldenConfig())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return parking.NewLeaser(alg)
+		}
+	}
+}
+
+// goldenReusable streams 300 steps of zero to three usage requests of
+// duration 0–5 into a three-unit pool, so requests queue up, some are
+// rejected and units buy leases of every length.
+func goldenReusable(opts reusable.Options) func(*testing.T, int64) ([]stream.Event, func() stream.Leaser) {
+	return func(t *testing.T, seed int64) ([]stream.Event, func() stream.Leaser) {
+		rng := rand.New(rand.NewSource(seed))
+		var reqs []reusable.Request
+		for step := int64(0); step < 300; step++ {
+			for c := rng.Intn(4); c > 0; c-- {
+				reqs = append(reqs, reusable.Request{T: step, Dur: int64(rng.Intn(6))})
+			}
+		}
+		return reusable.Events(reqs), func() stream.Leaser {
+			alg, err := reusable.NewOnline(goldenConfig(), 3, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return reusable.NewLeaser(alg)
+		}
 	}
 }
