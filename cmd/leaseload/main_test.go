@@ -230,12 +230,15 @@ func TestRemoteVerified(t *testing.T) {
 }
 
 // TestRemoteMatchesEngineMode asserts the HTTP boundary changes nothing
-// about the workload's outcome: a remote run and an in-process run of
-// the same seed report identical event totals and identical engine-side
-// cumulative cost.
+// about the workload's outcome: both modes run with -verify, which checks
+// every tenant's run, cost and snapshot byte for byte against Replay, and
+// report the same event total and engine-side cumulative cost. That cost
+// is a float sum built in each shard's apply order, which depends on how
+// the producers interleave, so it is compared only to within float
+// reassociation error.
 func TestRemoteMatchesEngineMode(t *testing.T) {
 	report := func(remote bool) jsonReport {
-		args := []string{"-tenants", "8", "-events", "50", "-json"}
+		args := []string{"-tenants", "8", "-events", "50", "-verify", "-json"}
 		if remote {
 			args = append(args, "-remote")
 		}
@@ -247,13 +250,16 @@ func TestRemoteMatchesEngineMode(t *testing.T) {
 		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 			t.Fatal(err)
 		}
+		if rep.Verified == nil || !*rep.Verified {
+			t.Fatalf("remote=%v: tenants not verified against Replay", remote)
+		}
 		return rep
 	}
 	local, remote := report(false), report(true)
 	if local.TotalEvents != remote.TotalEvents {
 		t.Errorf("event totals differ: engine %d vs remote %d", local.TotalEvents, remote.TotalEvents)
 	}
-	if local.Engine.Cost != remote.Engine.Cost {
+	if diff := math.Abs(local.Engine.Cost - remote.Engine.Cost); diff > 1e-12*math.Abs(local.Engine.Cost) {
 		t.Errorf("costs differ: engine %v vs remote %v", local.Engine.Cost, remote.Engine.Cost)
 	}
 }

@@ -42,7 +42,9 @@ code is stdlib-only Go and deterministic per seed.
   contract of thesis Section 2.3 — demands in, item-lease triples
   (i, k, t) out — plus the generic replay driver with per-step cost
   curves, ratio-vs-offline tracking, and deterministic multi-stream
-  interleaving. Each algorithm package ships a thin conforming adapter.
+  interleaving. One shared adapter (` + "`stream.Adapt`" + `) brings every
+  algorithm to the contract; a domain supplies only its payload type,
+  native step, purchase source and cost.
 - **Serving engine** (` + "`internal/engine`" + `): the sharded multi-tenant
   layer over the protocol — sessions hashed across shards, each shard
   draining a batched, backpressured event queue on its own goroutine,

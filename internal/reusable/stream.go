@@ -1,63 +1,37 @@
 package reusable
 
 import (
-	"fmt"
-
+	"leasing/internal/lease"
 	"leasing/internal/stream"
 )
 
-// Leaser adapts the reusable-resource allocator to the unified stream
-// protocol. Items are capacity units; every request produces exactly one
+// NewLeaser wraps the allocator as a stream.Leaser taking Use payloads.
+// Items are capacity units; every request produces exactly one
 // assignment — (unit, lease type, 0) for a grant, (-1, -1, 0) for a
 // rejection — so a Solution carries a positional verdict per request
 // that Verify can replay against the instance.
-type Leaser struct {
-	alg         *Online
-	leases      []stream.ItemLease
-	assignments []stream.Assignment
-}
-
-var _ stream.Leaser = (*Leaser)(nil)
-
-// NewLeaser wraps an allocator as a stream.Leaser consuming Use events.
-func NewLeaser(alg *Online) *Leaser { return &Leaser{alg: alg} }
-
-// Observe implements stream.Leaser. It accepts Use payloads only.
-func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
-	p, ok := ev.Payload.(stream.Use)
-	if !ok {
-		return stream.Decision{}, fmt.Errorf("reusable: unsupported payload %T", ev.Payload)
+func NewLeaser(alg *Online) stream.Leaser {
+	var last struct { // the latest Grant's results
+		unit, ktype int
+		bought      []lease.Lease
+		cost        float64
 	}
-	unit, ktype, bought, cost, err := l.alg.Grant(ev.Time, p.Dur)
-	if err != nil {
-		return stream.Decision{}, err
-	}
-	d := stream.Decision{
-		Assignments: []stream.Assignment{{Item: unit, K: ktype, Cost: 0}},
-		Cost:        cost,
-	}
-	for _, b := range bought {
-		d.Leases = append(d.Leases, stream.ItemLease{Item: unit, K: b.K, Start: b.Start})
-	}
-	stream.SortItemLeases(d.Leases)
-	l.leases = append(l.leases, d.Leases...)
-	l.assignments = append(l.assignments, d.Assignments...)
-	return d, nil
-}
-
-// Cost implements stream.Leaser; provisioning is pure leasing cost.
-func (l *Leaser) Cost() stream.CostBreakdown {
-	return stream.CostBreakdown{Lease: l.alg.TotalCost()}
-}
-
-// Snapshot implements stream.Leaser.
-func (l *Leaser) Snapshot() stream.Solution {
-	sol := stream.Solution{
-		Leases:      make([]stream.ItemLease, len(l.leases)),
-		Assignments: make([]stream.Assignment, len(l.assignments)),
-	}
-	copy(sol.Leases, l.leases)
-	copy(sol.Assignments, l.assignments)
-	stream.SortItemLeases(sol.Leases)
-	return sol
+	return stream.Adapt(stream.Domain[stream.Use]{
+		Name: "reusable",
+		Step: func(t int64, p stream.Use) (err error) {
+			last.unit, last.ktype, last.bought, last.cost, err = alg.Grant(t, p.Dur)
+			return err
+		},
+		Bought: func(dst []stream.ItemLease) []stream.ItemLease {
+			for _, b := range last.bought {
+				dst = append(dst, stream.ItemLease{Item: last.unit, K: b.K, Start: b.Start})
+			}
+			return dst
+		},
+		Assigned: func(dst []stream.Assignment) []stream.Assignment {
+			return append(dst, stream.Assignment{Item: last.unit, K: last.ktype})
+		},
+		Cost:     stream.LeaseCost(alg.TotalCost),
+		StepCost: func() float64 { return last.cost },
+	})
 }

@@ -8,69 +8,29 @@ import (
 	"leasing/internal/stream"
 )
 
-// Leaser adapts the composed Steiner-tree-leasing algorithm to the
-// unified stream protocol. Items are edge indices; each Connect payload is
-// one communication request. Every edge's parking permit keeps its own
+// NewLeaser wraps the composed Steiner-tree-leasing algorithm as a
+// stream.Leaser. Items are edge indices; each Connect payload is one
+// communication request. Every edge's parking permit keeps its own
 // purchase journal, read through one cursor per edge.
-type Leaser struct {
-	alg      *Online
-	bought   []stream.Cursor[lease.Lease] // per edge
-	lastCost float64
-}
-
-var _ stream.Leaser = (*Leaser)(nil)
-
-// NewLeaser wraps a Steiner-tree-leasing algorithm as a stream.Leaser.
-func NewLeaser(alg *Online) *Leaser {
-	l := &Leaser{alg: alg, bought: make([]stream.Cursor[lease.Lease], len(alg.perEdge))}
+func NewLeaser(alg *Online) stream.Leaser {
+	bought := make([]stream.Cursor[lease.Lease], len(alg.perEdge))
 	for e, p := range alg.perEdge {
-		l.bought[e] = stream.NewCursor(p.BoughtSince)
+		bought[e] = stream.NewCursor(p.BoughtSince)
 	}
-	return l
-}
-
-// Observe implements stream.Leaser. It accepts Connect payloads.
-func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
-	p, ok := ev.Payload.(stream.Connect)
-	if !ok {
-		return stream.Decision{}, fmt.Errorf("steiner: unsupported payload %T", ev.Payload)
-	}
-	if err := l.alg.Serve(Request{Time: ev.Time, S: p.S, T: p.T}); err != nil {
-		return stream.Decision{}, err
-	}
-	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
-	l.lastCost = l.alg.TotalCost()
-	// Only the permits this request fed can have bought.
-	for _, e := range l.alg.fed {
-		for _, ls := range l.bought[e].Next() {
-			d.Leases = append(d.Leases, core.ItemLease{Item: e, K: ls.K, Start: ls.Start})
-		}
-	}
-	stream.SortItemLeases(d.Leases)
-	return d, nil
-}
-
-// Cost implements stream.Leaser.
-func (l *Leaser) Cost() stream.CostBreakdown {
-	return stream.CostBreakdown{Lease: l.alg.TotalCost()}
-}
-
-// Snapshot implements stream.Leaser.
-func (l *Leaser) Snapshot() stream.Solution {
-	return stream.Solution{Leases: l.alg.EdgeLeases()}
-}
-
-// EdgeLeases returns every lease bought across the per-edge parking
-// permits as (edge, type, start) triples, sorted by (edge, type, start):
-// edges in index order, each edge's leases by (type, start).
-func (o *Online) EdgeLeases() []core.ItemLease {
-	var out []core.ItemLease
-	for e, alg := range o.perEdge {
-		for _, ls := range alg.Leases() {
-			out = append(out, core.ItemLease{Item: e, K: ls.K, Start: ls.Start})
-		}
-	}
-	return out
+	return stream.Adapt(stream.Domain[stream.Connect]{
+		Name: "steiner",
+		Step: func(t int64, p stream.Connect) error { return alg.Serve(Request{Time: t, S: p.S, T: p.T}) },
+		// Only the permits the request fed can have bought.
+		Bought: func(dst []core.ItemLease) []core.ItemLease {
+			for _, e := range alg.fed {
+				for _, ls := range bought[e].Next() {
+					dst = append(dst, core.ItemLease{Item: e, K: ls.K, Start: ls.Start})
+				}
+			}
+			return dst
+		},
+		Cost: stream.LeaseCost(alg.TotalCost),
+	})
 }
 
 // Events converts requests into Connect events.

@@ -11,12 +11,15 @@
 //   - a Leaser is any online algorithm consuming Events and producing
 //     Decisions, with cumulative cost accounting and a solution snapshot.
 //
-// Each domain package (internal/parking, internal/setcover,
-// internal/facility, internal/deadline, internal/steiner) provides a thin
-// adapter from its native algorithm to this protocol; the generic driver
-// in this package (Replay, Interleave) then works over every domain
-// uniformly, which is what the experiment harness, cmd/leasesim and the
-// conformance suite build on.
+// Every domain package (internal/parking, internal/setcover,
+// internal/facility, internal/deadline, internal/steiner,
+// internal/reusable) reaches this protocol through the one shared
+// adapter, Adapt: a domain supplies only its payload type, its native
+// step, where its purchases (and assignments) appear and its cost, and
+// the adapter owns the payload check, the decision's canonical lease
+// list and the snapshot. The generic driver in this package (Replay,
+// Interleave) then works over every domain uniformly, which is what the
+// experiment harness, cmd/leasesim and the conformance suite build on.
 package stream
 
 import (
@@ -139,9 +142,9 @@ type Solution struct {
 }
 
 // Leaser is the unified protocol: demands stream in as Events, purchases
-// stream out as Decisions. Implementations are the thin per-domain
-// adapters; they reject events whose payload type they do not understand
-// and require non-decreasing event times.
+// stream out as Decisions. The domains' implementations come from Adapt;
+// they reject events whose payload type they do not understand (with an
+// ErrPayload-wrapped error) and require non-decreasing event times.
 type Leaser interface {
 	// Observe processes one demand and returns what was bought for it.
 	Observe(Event) (Decision, error)
@@ -157,8 +160,8 @@ func SortItemLeases(ls []ItemLease) { slices.SortFunc(ls, compareItemLeases) }
 
 // MergeItemLeases merges news into sorted, both in canonical order, and
 // returns the merged list (sorted's array is reused when it has room).
-// Adapters that keep their snapshot's lease list sorted use it to add a
-// decision's purchases in O(L) instead of re-sorting the whole set.
+// Adapt's snapshots use it to add the purchases made since the previous
+// snapshot in O(L) instead of re-sorting the whole set.
 func MergeItemLeases(sorted, news []ItemLease) []ItemLease {
 	i, j := len(sorted)-1, len(news)-1
 	out := append(sorted, news...)

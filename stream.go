@@ -79,6 +79,10 @@ type Assignment = stream.Assignment
 // reports cumulative totals, Snapshot returns the solution so far.
 type Leaser = stream.Leaser
 
+// ErrPayload is wrapped by the error a Leaser returns for an event whose
+// payload type its domain does not take.
+var ErrPayload = stream.ErrPayload
+
 // StreamRun is the result of Replay: one Decision and one cost-curve point
 // per event, plus the final cost breakdown.
 type StreamRun = stream.Run

@@ -6,10 +6,13 @@ package leasing_test
 // the same events produce identical decision streams — (3) produce a
 // Snapshot that passes the domain's feasibility oracle, (4) keep the cost
 // curve non-decreasing, and (5) reject payload types it does not
-// understand. The suite runs entirely against the public API.
+// understand with an ErrPayload-wrapped error, and (6) start from the
+// same empty snapshot shape. The suite runs entirely against the public
+// API.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -36,6 +39,9 @@ type conformanceCase struct {
 	events []leasing.Event
 	// wrongPayload is an event of a type the leaser must reject.
 	wrongPayload leasing.Event
+	// assigns marks the domains whose decisions carry assignments; their
+	// snapshots carry an assignment list, empty before the first event.
+	assigns bool
 	// fresh constructs a new leaser and a snapshot verifier; rng is a
 	// fresh source seeded with the case's seed.
 	fresh func(t *testing.T, rng *rand.Rand) (leasing.Leaser, func(leasing.Solution) error)
@@ -156,6 +162,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		domain:       wire.DomainFacility,
 		events:       leasing.BatchEvents(batches),
 		wrongPayload: leasing.WindowEvent(40, 2),
+		assigns:      true,
 		fresh: func(t *testing.T, _ *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
 			lsr, err := leasing.NewFacilityStream(facInst)
 			if err != nil {
@@ -264,6 +271,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		domain:       wire.DomainReusable,
 		events:       leasing.UseEvents(useReqs),
 		wrongPayload: leasing.DayEvent(40),
+		assigns:      true,
 		fresh: func(t *testing.T, _ *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
 			lsr, err := leasing.NewReusableStream(ruInst)
 			if err != nil {
@@ -279,6 +287,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		domain:       wire.DomainReusable,
 		events:       leasing.UseEvents(useReqs),
 		wrongPayload: leasing.ConnectEvent(40, 0, 1),
+		assigns:      true,
 		fresh: func(t *testing.T, _ *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
 			lsr, err := leasing.NewPredictiveReusableStream(ruInst, 0.6)
 			if err != nil {
@@ -365,10 +374,33 @@ func TestLeaserConformance(t *testing.T) {
 				t.Error("snapshots differ across replays")
 			}
 
-			// Unsupported payloads are rejected without state damage.
+			// Unsupported payloads are rejected with ErrPayload.
 			lsr3, _ := tc.build(t)
-			if _, err := lsr3.Observe(tc.wrongPayload); err == nil {
-				t.Error("unsupported payload accepted")
+			if _, err := lsr3.Observe(tc.wrongPayload); !errors.Is(err, leasing.ErrPayload) {
+				t.Errorf("unsupported payload: error %v, want ErrPayload", err)
+			}
+		})
+	}
+}
+
+// TestLeaserEmptySnapshot pins every domain's snapshot before its first
+// event, as %#v renders it: an empty, non-nil lease list (GET /snapshot
+// answers [] rather than null), and an empty assignment list exactly for
+// the domains that make assignments.
+func TestLeaserEmptySnapshot(t *testing.T) {
+	const (
+		leasesOnly  = "stream.Solution{Leases:[]core.ItemLease{}, Assignments:[]stream.Assignment(nil)}"
+		withAssigns = "stream.Solution{Leases:[]core.ItemLease{}, Assignments:[]stream.Assignment{}}"
+	)
+	for _, tc := range conformanceCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			lsr, _ := tc.build(t)
+			want := leasesOnly
+			if tc.assigns {
+				want = withAssigns
+			}
+			if got := fmt.Sprintf("%#v", lsr.Snapshot()); got != want {
+				t.Errorf("empty snapshot %s, want %s", got, want)
 			}
 		})
 	}
