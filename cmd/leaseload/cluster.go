@@ -1,258 +1,19 @@
 package main
 
-// The cluster modes of leaseload. runClusterCrash is the multi-node
-// kill-one-node drill: it spawns N leased daemons joined by -peers,
-// pumps mixed-domain load through the cluster client, SIGKILLs the
-// node owning the most tenants once half the load is acknowledged,
-// fails its tenants over onto their replicas (MarkDown + Activate),
-// resumes every tenant from the new owner's processed count, and
-// verifies every tenant byte-identical to a single-threaded Replay —
-// the CI smoke proof that log-shipping failover loses nothing
-// acknowledged. runClusterBench is the scaling benchmark behind
-// BENCH_PR8.json: the same workload through in-process fleets of 1, 2
-// and 4 replicated nodes, reporting per-fleet throughput, speedup and
-// the scaling efficiency of the largest fleet.
+// runClusterBench is the scaling benchmark behind BENCH_PR8.json: the
+// same workload through in-process fleets of 1, 2 and 4 replicated
+// nodes, driven through the cluster client, reporting per-fleet
+// throughput, speedup and the scaling efficiency of the largest fleet.
+// The multi-node kill drill (-crash -cluster) is runDrill in main.go.
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
-	"strconv"
-	"strings"
-	"sync/atomic"
-	"syscall"
-	"time"
 
 	"leasing"
-	"leasing/internal/stats"
 )
-
-type clusterCrashParams struct {
-	leasedBin                              string
-	nodes                                  int
-	shards, batch, queue, producers, chunk int
-}
-
-// drillNode is one spawned leased daemon of the multi-node drill.
-type drillNode struct {
-	url      string
-	hostport string
-	dir      string
-	cmd      *exec.Cmd
-	cli      *leasing.RemoteClient
-}
-
-// runClusterCrash is the multi-node kill-and-recover drill.
-func runClusterCrash(report *jsonReport, ts []*tenant, p clusterCrashParams) error {
-	ctx := context.Background()
-	nodes := make([]*drillNode, p.nodes)
-	urls := make([]string, p.nodes)
-	for i := range nodes {
-		port, err := freePort()
-		if err != nil {
-			return err
-		}
-		dir, err := os.MkdirTemp("", "leaseload-cluster-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		hostport := fmt.Sprintf("127.0.0.1:%d", port)
-		nodes[i] = &drillNode{url: "http://" + hostport, hostport: hostport, dir: dir}
-		urls[i] = nodes[i].url
-	}
-	for _, nd := range nodes {
-		cmd := exec.Command(p.leasedBin,
-			"-addr", nd.hostport, "-record", "-data-dir", nd.dir, "-fsync",
-			"-shards", strconv.Itoa(p.shards),
-			"-queue", strconv.Itoa(p.queue),
-			"-batch", strconv.Itoa(p.batch),
-			"-peers", strings.Join(urls, ","),
-			"-self", nd.url,
-		)
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("start %s as %s: %w", p.leasedBin, nd.url, err)
-		}
-		nd.cmd = cmd
-		nd.cli = leasing.Dial(nd.url, leasing.RemoteClientOptions{})
-	}
-	graceful := false
-	defer func() {
-		if graceful {
-			return
-		}
-		for _, nd := range nodes {
-			if nd.cmd != nil {
-				nd.cmd.Process.Kill()
-				nd.cmd.Wait()
-			}
-		}
-	}()
-	for _, nd := range nodes {
-		if err := waitHealthy(ctx, nd.cli, 15*time.Second); err != nil {
-			return fmt.Errorf("node %s: %w", nd.url, err)
-		}
-	}
-
-	cl, err := leasing.DialCluster(urls, leasing.RemoteClientOptions{Chunk: p.chunk})
-	if err != nil {
-		return err
-	}
-	for _, t := range ts {
-		wevs, err := leasing.WireEvents(t.events)
-		if err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
-		}
-		t.wevs = wevs
-		if err := cl.Open(ctx, t.name, t.spec); err != nil {
-			return fmt.Errorf("open %s: %w", t.name, err)
-		}
-	}
-	// Let the shippers deliver the open records before any node can
-	// die: a tenant whose open never reached its replica would have
-	// nothing to fail over to. Event records lost the same way are
-	// fine — the resume loop re-sends them.
-	time.Sleep(250 * time.Millisecond)
-
-	// The victim is the node owning the most tenants, so the failover
-	// moves a meaningful share of the fleet.
-	owned := map[string]int{}
-	for _, t := range ts {
-		owned[cl.Owner(t.name)]++
-	}
-	victim := nodes[0]
-	for _, nd := range nodes {
-		if owned[nd.url] > owned[victim.url] {
-			victim = nd
-		}
-	}
-	doomed := owned[victim.url]
-	if doomed == 0 {
-		return fmt.Errorf("no tenant placed on the victim; widen the tenant set")
-	}
-
-	t0 := time.Now()
-	var accepted atomic.Int64
-	var dying atomic.Bool
-	killAt := max(report.TotalEvents/2, 1)
-	doneProducing := make(chan struct{})
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				if accepted.Load() < killAt {
-					continue
-				}
-			case <-doneProducing:
-			}
-			dying.Store(true)
-			victim.cmd.Process.Kill()
-			return
-		}
-	}()
-	_, _, err = produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		n, err := cl.Submit(ctx, t.name, t.wevs[lo:hi])
-		accepted.Add(int64(n))
-		return err
-	}, p.chunk, stats.NewReservoir(latReservoirCap, report.Seed), func(error) bool { return dying.Load() }, nil)
-	close(doneProducing)
-	<-killed
-	victim.cmd.Wait() // reap; a kill-induced exit error is expected
-	victim.cmd = nil
-	if err != nil {
-		return fmt.Errorf("pre-kill failure: %w", err)
-	}
-
-	// Failover: drop the victim from the live ring — its tenants now
-	// route to their replicas — and have the survivors adopt exactly
-	// the sessions the victim owned.
-	if err := cl.MarkDown(victim.url); err != nil {
-		return err
-	}
-	activated, err := cl.Activate(ctx)
-	if err != nil {
-		return fmt.Errorf("activate failover: %w", err)
-	}
-	if activated != doomed {
-		return fmt.Errorf("activated %d sessions, want the victim's %d", activated, doomed)
-	}
-
-	// Resume every tenant from its (possibly new) owner's processed
-	// count — the authoritative point: events the victim acknowledged
-	// but never shipped are gone from the cluster and must be re-sent.
-	for _, t := range ts {
-		if err := cl.Flush(ctx, t.name); err != nil {
-			return fmt.Errorf("flush %s after failover: %w", t.name, err)
-		}
-		n, err := cl.Processed(ctx, t.name)
-		if err != nil {
-			return fmt.Errorf("recovered count of %s: %w", t.name, err)
-		}
-		if n > int64(len(t.wevs)) {
-			return fmt.Errorf("%s: recovered %d events, only %d were ever submitted", t.name, n, len(t.wevs))
-		}
-		if _, err := cl.SubmitResume(ctx, t.name, t.wevs, int(n)); err != nil {
-			return fmt.Errorf("resume %s after %d: %w", t.name, n, err)
-		}
-	}
-	for _, t := range ts {
-		if err := cl.Flush(ctx, t.name); err != nil {
-			return err
-		}
-		n, err := cl.Processed(ctx, t.name)
-		if err != nil {
-			return err
-		}
-		if n != int64(len(t.wevs)) {
-			return fmt.Errorf("%s: processed %d after resume, want %d", t.name, n, len(t.wevs))
-		}
-	}
-	elapsed := time.Since(t0)
-	report.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-	report.EventsPerSec = float64(report.TotalEvents) / elapsed.Seconds()
-
-	ok := true
-	for _, t := range ts {
-		if err := verifyRemoteTenant(ctx, cl, t); err != nil {
-			ok = false
-			fmt.Fprintf(os.Stderr, "leaseload: verify %s: %v\n", t.name, err)
-		}
-	}
-	report.Verified = &ok
-
-	// The survivors must drain cleanly: SIGTERM flushes each node's
-	// shipper and closes its logs in order.
-	for _, nd := range nodes {
-		if nd.cmd == nil {
-			continue
-		}
-		if err := nd.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return err
-		}
-	}
-	for _, nd := range nodes {
-		if nd.cmd == nil {
-			continue
-		}
-		if err := nd.cmd.Wait(); err != nil {
-			return fmt.Errorf("node %s did not drain cleanly: %w", nd.url, err)
-		}
-		nd.cmd = nil
-	}
-	graceful = true
-	if !ok {
-		return fmt.Errorf("cluster kill-and-recover parity failed: a failed-over tenant diverged from Replay of its full history")
-	}
-	return nil
-}
 
 // clusterReport is the -cluster-bench report (committed as
 // BENCH_PR8.json): one fleet section per cluster size over the same
@@ -285,17 +46,12 @@ type fleetReport struct {
 	ShippedRecords  int64        `json:"shipped_records"`
 }
 
-type clusterBenchParams struct {
-	shards, batch, queue, producers, chunk int
-	fleets                                 []int
-}
-
 // runClusterBench measures how ingestion throughput scales with nodes:
-// the same workload through in-process fleets of p.fleets sizes, every
+// the same workload through in-process fleets of the given sizes, every
 // node durable (fsync off) and shipping to its peers, driven through
 // the ring-routing cluster client. Scaling efficiency is the largest
 // fleet's speedup over the single node divided by its node count.
-func runClusterBench(base jsonReport, ts []*tenant, p clusterBenchParams) (clusterReport, error) {
+func runClusterBench(base jsonReport, ts []*tenant, c config, fleets []int) (clusterReport, error) {
 	combined := clusterReport{
 		Tool: "leaseload", Mode: "cluster-bench",
 		GoVersion: base.GoVersion, Seed: base.Seed,
@@ -303,8 +59,8 @@ func runClusterBench(base jsonReport, ts []*tenant, p clusterBenchParams) (clust
 		Shards: base.Shards, Batch: base.Batch, Queue: base.Queue,
 		Producers: base.Producers, Chunk: base.Chunk,
 	}
-	for _, n := range p.fleets {
-		fleet, err := runClusterFleet(ts, n, p, base.Seed)
+	for _, n := range fleets {
+		fleet, err := runClusterFleet(ts, n, c)
 		if err != nil {
 			return combined, fmt.Errorf("%d-node fleet: %w", n, err)
 		}
@@ -330,8 +86,7 @@ type benchNode struct {
 
 // runClusterFleet runs the full workload through one n-node fleet,
 // wired node-for-node as cmd/leased wires cluster mode.
-func runClusterFleet(ts []*tenant, n int, p clusterBenchParams, seed int64) (fleetReport, error) {
-	ctx := context.Background()
+func runClusterFleet(ts []*tenant, n int, c config) (fleetReport, error) {
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
 	for i := range lns {
@@ -377,9 +132,7 @@ func runClusterFleet(ts []*tenant, n int, p clusterBenchParams, seed int64) (fle
 			return fleetReport{}, err
 		}
 		rl := leasing.ReplicateDurableLog(own, sh)
-		eng, _, err := leasing.RecoverEngineWAL(own, rl, leasing.EngineConfig{
-			Shards: p.shards, QueueDepth: p.queue, BatchSize: p.batch,
-		})
+		eng, _, err := leasing.RecoverEngineWAL(own, rl, c.engine())
 		if err != nil {
 			sh.Close()
 			follow.Close()
@@ -395,40 +148,17 @@ func runClusterFleet(ts []*tenant, n int, p clusterBenchParams, seed int64) (fle
 		nodes[i] = &benchNode{eng: eng, srv: srv, sh: sh, own: own, follow: follow}
 	}
 
-	cl, err := leasing.DialCluster(urls, leasing.RemoteClientOptions{Chunk: p.chunk})
+	cl, err := leasing.DialCluster(urls, leasing.RemoteClientOptions{Chunk: c.chunk})
 	if err != nil {
 		return fleetReport{}, err
 	}
-	for _, t := range ts {
-		wevs, err := leasing.WireEvents(t.events)
-		if err != nil {
-			return fleetReport{}, fmt.Errorf("%s: %w", t.name, err)
-		}
-		t.wevs = wevs
-		if err := cl.Open(ctx, t.name, t.spec); err != nil {
-			return fleetReport{}, fmt.Errorf("open %s: %w", t.name, err)
-		}
-	}
-
-	res := stats.NewReservoir(latReservoirCap, seed)
-	var total int64
-	_, start, err := produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		n, err := cl.Submit(ctx, t.name, t.wevs[lo:hi])
-		atomic.AddInt64(&total, int64(n))
-		return err
-	}, p.chunk, res, nil, nil)
+	// The flush barrier spans every node's engine, as engine mode's does
+	// for one; replication keeps streaming in the background and is
+	// settled (and checked) by the shipper close below.
+	run, err := drive(remoteTarget{cl}, ts, c, 0)
 	if err != nil {
 		return fleetReport{}, err
 	}
-	// The barrier spans every node's engine, as engine mode's Flush
-	// does for one; replication keeps streaming in the background and
-	// is settled (and checked) by the shipper close below.
-	for _, nd := range nodes {
-		if err := nd.eng.Flush(); err != nil {
-			return fleetReport{}, err
-		}
-	}
-	elapsed := time.Since(start)
 
 	var shipped int64
 	for i, nd := range nodes {
@@ -442,9 +172,9 @@ func runClusterFleet(ts []*tenant, n int, p clusterBenchParams, seed int64) (fle
 	}
 	return fleetReport{
 		Nodes:           n,
-		ElapsedMS:       float64(elapsed.Microseconds()) / 1000,
-		EventsPerSec:    float64(atomic.LoadInt64(&total)) / elapsed.Seconds(),
-		SubmitLatencyUS: summarize(res),
+		ElapsedMS:       run.elapsedMS(),
+		EventsPerSec:    run.eventsPerSec(),
+		SubmitLatencyUS: summarize(run.latency),
 		ShippedRecords:  shipped,
 	}, nil
 }

@@ -18,6 +18,13 @@
 // machine-readable report (committed snapshots are named BENCH_*.json;
 // see the README's trajectory convention).
 //
+// Every mode is one runner over one of three targets — the in-process
+// engine (optionally WAL-backed), a single daemon through the client,
+// or a cluster through the ring-routing cluster client. Each tenant's
+// leaser is built from its wire spec (wire.OpenRequest.Build) whatever
+// the target, the same loop opens, submits and flushes, and one
+// verifier checks run, cost, snapshot and close against Replay.
+//
 // Two durability modes exercise the write-ahead log end to end. With
 // -durable-bench the in-process workload runs twice through a
 // WAL-backed engine — fsync off, then fsync on — and the combined
@@ -110,17 +117,16 @@ func main() {
 	}
 }
 
-// tenant is one synthetic session: a name, its fixed event stream, a
-// factory building a fresh deterministic leaser (called once to serve in
-// the engine and, under -verify, once more for the reference Replay),
-// and the wire spec that opens the same session remotely.
+// tenant is one synthetic session: a name, its fixed event stream in
+// in-process and wire form, and the wire spec that opens it. The spec is
+// the tenant's only leaser constructor: every target opens the session
+// from it, and -verify replays a leaser spec.Build() makes.
 type tenant struct {
 	name   string
 	domain string
 	events []leasing.Event
-	fresh  func() (leasing.Leaser, error)
+	wevs   []leasing.RemoteEvent
 	spec   leasing.RemoteOpenRequest
-	wevs   []leasing.RemoteEvent // events in wire form (remote mode)
 }
 
 type latencyStats struct {
@@ -230,6 +236,8 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *tenants < 1 || *events < 1 || *producers < 1 || *chunk < 1 {
 		return fmt.Errorf("-tenants, -events, -producers and -chunk must be >= 1")
 	}
@@ -262,12 +270,8 @@ func run(args []string, w io.Writer) error {
 	if *clusterFl && *dataDir != "" {
 		return fmt.Errorf("-data-dir cannot be combined with -cluster (each node gets its own temp dir)")
 	}
-	if !*clusterFl {
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if explicit["nodes"] {
-			return fmt.Errorf("-nodes requires -cluster")
-		}
+	if !*clusterFl && explicit["nodes"] {
+		return fmt.Errorf("-nodes requires -cluster")
 	}
 	if *clBench && (*remote || *crash || *durable || *ramp || *verify) {
 		return fmt.Errorf("-cluster-bench is its own mode; it cannot be combined with -remote, -crash, -durable-bench, -ramp or -verify")
@@ -282,8 +286,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-ramp measures saturation (steps may be cut off mid-stream); it cannot be combined with -verify")
 	}
 	if !*ramp {
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 		for _, name := range []string{"sla-p99", "sla-percentile", "step-tenants", "step-duration"} {
 			if explicit[name] {
 				return fmt.Errorf("-%s requires -ramp", name)
@@ -299,12 +301,8 @@ func run(args []string, w io.Writer) error {
 	if *zipfSizes < 0 {
 		return fmt.Errorf("-zipf-sizes must be >= 0")
 	}
-	if *gatePath == "" {
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if explicit["gate-tolerance"] {
-			return fmt.Errorf("-gate-tolerance requires -gate")
-		}
+	if *gatePath == "" && explicit["gate-tolerance"] {
+		return fmt.Errorf("-gate-tolerance requires -gate")
 	}
 	// Probe the arrival process once so a bad -arrival fails before any
 	// work; tenants each get their own instance (the processes are
@@ -319,8 +317,6 @@ func run(args []string, w io.Writer) error {
 	if *addr != "" {
 		// An external daemon's engine configuration is set by the
 		// daemon; local values would misstate the measured setup.
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 		for _, name := range []string{"shards", "batch", "queue"} {
 			if explicit[name] {
 				return fmt.Errorf("-%s is set by the daemon; it cannot be combined with -addr", name)
@@ -381,31 +377,21 @@ func run(args []string, w io.Writer) error {
 		Producers:   *producers,
 		Chunk:       *chunk,
 	}
-
-	if *durable {
-		// The durable benchmark is a pair of runs; its combined report
-		// is always JSON (the BENCH_PR5.json format).
-		combined, err := runDurableBench(report, ts, engineParams{
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk, verify: *verify,
-		})
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(combined, *outPath, w); err != nil {
-			return err
-		}
-		return gateCheck(combined, *gatePath, *gateTol, w)
+	c := config{
+		shards: *shards, batch: *batch, queue: *queue,
+		producers: *producers, chunk: *chunk, seed: *seed, verify: *verify,
 	}
 
-	if *clBench {
-		// Like the durable benchmark, the scaling benchmark is a series
-		// of runs with a combined, always-JSON report (BENCH_PR8.json).
-		combined, err := runClusterBench(report, ts, clusterBenchParams{
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk,
-			fleets: []int{1, 2, 4},
-		})
+	if *durable || *clBench {
+		// The durable and scaling benchmarks are series of runs with a
+		// combined, always-JSON report (BENCH_PR5.json, BENCH_PR8.json).
+		var combined any
+		var err error
+		if *durable {
+			combined, err = runDurableBench(report, ts, c)
+		} else {
+			combined, err = runClusterBench(report, ts, c, []int{1, 2, 4})
+		}
 		if err != nil {
 			return err
 		}
@@ -419,39 +405,21 @@ func run(args []string, w io.Writer) error {
 	switch {
 	case *ramp:
 		report.Mode = "ramp"
-		err = runRamp(&report, ts, rampParams{
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk,
+		err = runRamp(&report, ts, c, rampParams{
 			stepTenants: *stepTen, stepDur: *stepDur,
-			slaPct: *slaPct, slaMS: *slaP99,
-			seed: *seed, arrival: *arrival,
+			slaPct: *slaPct, slaMS: *slaP99, arrival: *arrival,
 		})
 	case *crash && *clusterFl:
 		report.Mode = "crash-cluster"
-		err = runClusterCrash(&report, ts, clusterCrashParams{
-			leasedBin: *leasedBin, nodes: *nodesFl,
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk,
-		})
+		err = runDrill(&report, ts, c, *leasedBin, "", *nodesFl)
 	case *crash:
 		report.Mode = "crash"
-		err = runCrash(&report, ts, crashParams{
-			leasedBin: *leasedBin, dataDir: *dataDir,
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk,
-		})
+		err = runDrill(&report, ts, c, *leasedBin, *dataDir, 1)
 	case *remote:
 		report.Mode = "remote"
-		err = runRemote(&report, ts, remoteParams{
-			addr: *addr, shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk, verify: *verify,
-			binary: *binaryEnc,
-		})
+		err = runRemote(&report, ts, c, *addr, *binaryEnc)
 	default:
-		err = runEngine(&report, ts, engineParams{
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk, verify: *verify,
-		}, nil)
+		err = runEngine(&report, ts, c, nil)
 	}
 	if err != nil {
 		return err
@@ -483,22 +451,230 @@ func gateCheck(report any, gatePath string, tolerance float64, w io.Writer) erro
 	return nil
 }
 
-type engineParams struct {
+// config is the engine and producer shape every mode shares.
+type config struct {
 	shards, batch, queue, producers, chunk int
+	seed                                   int64
 	verify                                 bool
 }
 
-// runEngine drives the in-process engine, the original leaseload mode.
-// A non-nil wlog makes the engine durable: sessions open through
-// OpenSpec (so the log can rebuild them) and every submit is
-// write-ahead logged before it is enqueued.
-func runEngine(report *jsonReport, ts []*tenant, p engineParams, wlog *leasing.DurableLog) error {
-	cfg := leasing.EngineConfig{
-		Shards:     p.shards,
-		QueueDepth: p.queue,
-		BatchSize:  p.batch,
-		RecordRuns: p.verify,
+// engine configures every engine the tool runs in process; runs are
+// recorded only when they will be verified.
+func (c config) engine() leasing.EngineConfig {
+	return leasing.EngineConfig{
+		Shards:     c.shards,
+		QueueDepth: c.queue,
+		BatchSize:  c.batch,
+		RecordRuns: c.verify,
 	}
+}
+
+// target is the serving boundary a run drives: the in-process engine,
+// or the lease service behind the single-node or the cluster client.
+// Reads come back in stream form, so one verifier checks every target.
+type target interface {
+	open(t *tenant) error
+	// submit sends t.events[lo:hi] and reports how many were accepted.
+	submit(t *tenant, lo, hi int) (int, error)
+	// flush is a read barrier over every node serving ts.
+	flush(ts []*tenant) error
+	result(name string) (*leasing.StreamRun, error)
+	cost(name string) (leasing.CostBreakdown, error)
+	snapshot(name string) (leasing.Solution, error)
+	// close seals the session and reports how many events it processed.
+	close(name string) (int64, error)
+}
+
+// engineTarget is the in-process engine.
+type engineTarget struct{ eng *leasing.Engine }
+
+// open passes the wire spec along, so a durable engine's write-ahead
+// log can rebuild the session; an engine without a WAL ignores it.
+func (e engineTarget) open(t *tenant) error {
+	lsr, err := t.spec.Build()
+	if err != nil {
+		return err
+	}
+	spec, err := leasing.WireOpenSpec(t.spec)
+	if err != nil {
+		return err
+	}
+	return e.eng.OpenSpec(t.name, lsr, spec)
+}
+
+func (e engineTarget) submit(t *tenant, lo, hi int) (int, error) {
+	if err := e.eng.SubmitBatch(t.name, t.events[lo:hi]); err != nil {
+		return 0, err
+	}
+	return hi - lo, nil
+}
+
+func (e engineTarget) flush([]*tenant) error { return e.eng.Flush() }
+
+func (e engineTarget) result(name string) (*leasing.StreamRun, error) { return e.eng.Result(name) }
+
+func (e engineTarget) cost(name string) (leasing.CostBreakdown, error) { return e.eng.Cost(name) }
+
+func (e engineTarget) snapshot(name string) (leasing.Solution, error) { return e.eng.Snapshot(name) }
+
+func (e engineTarget) close(name string) (int64, error) {
+	if err := e.eng.CloseTenant(name); err != nil {
+		return 0, err
+	}
+	return e.eng.Events(name)
+}
+
+// service is what the single-node client and the cluster client share.
+type service interface {
+	Open(context.Context, string, leasing.RemoteOpenRequest) error
+	Submit(context.Context, string, []leasing.RemoteEvent) (int, error)
+	SubmitResume(ctx context.Context, tenant string, evs []leasing.RemoteEvent, from int) (int, error)
+	Owner(tenant string) string
+	Flush(context.Context, string) error
+	Processed(context.Context, string) (int64, error)
+	Result(context.Context, string) (*wire.Run, error)
+	Cost(context.Context, string) (wire.CostBreakdown, error)
+	Snapshot(context.Context, string) (wire.Solution, error)
+	Close(context.Context, string) (wire.CloseResponse, error)
+}
+
+// node is one daemon as a service: it owns every tenant, and resuming
+// is a plain submit of the rest of the stream.
+type node struct{ *leasing.RemoteClient }
+
+func (node) Owner(string) string { return "" }
+
+func (n node) SubmitResume(ctx context.Context, tenant string, evs []leasing.RemoteEvent, from int) (int, error) {
+	return n.Submit(ctx, tenant, evs[from:])
+}
+
+// remoteTarget is a lease service over HTTP.
+type remoteTarget struct{ svc service }
+
+func (r remoteTarget) open(t *tenant) error {
+	return r.svc.Open(context.Background(), t.name, t.spec)
+}
+
+func (r remoteTarget) submit(t *tenant, lo, hi int) (int, error) {
+	return r.svc.Submit(context.Background(), t.name, t.wevs[lo:hi])
+}
+
+// flush flushes one tenant per owning node: a daemon's flush is a
+// barrier over its whole engine.
+func (r remoteTarget) flush(ts []*tenant) error {
+	flushed := map[string]bool{}
+	for _, t := range ts {
+		if owner := r.svc.Owner(t.name); !flushed[owner] {
+			flushed[owner] = true
+			if err := r.svc.Flush(context.Background(), t.name); err != nil {
+				return fmt.Errorf("flush %s: %w", t.name, err)
+			}
+		}
+	}
+	return nil
+}
+
+func (r remoteTarget) result(name string) (*leasing.StreamRun, error) {
+	run, err := r.svc.Result(context.Background(), name)
+	if err != nil {
+		return nil, err
+	}
+	return run.Stream(), nil
+}
+
+// cost also checks the wire form's total, which the stream form
+// derives from its parts.
+func (r remoteTarget) cost(name string) (leasing.CostBreakdown, error) {
+	c, err := r.svc.Cost(context.Background(), name)
+	if err == nil && c.Total != c.Stream().Total() {
+		err = fmt.Errorf("remote cost total %v != lease + service %v", c.Total, c.Stream().Total())
+	}
+	return c.Stream(), err
+}
+
+func (r remoteTarget) snapshot(name string) (leasing.Solution, error) {
+	s, err := r.svc.Snapshot(context.Background(), name)
+	return s.Stream(), err
+}
+
+func (r remoteTarget) close(name string) (int64, error) {
+	c, err := r.svc.Close(context.Background(), name)
+	return c.Events, err
+}
+
+// openAll opens every tenant on tg.
+func openAll(tg target, ts []*tenant) error {
+	for _, t := range ts {
+		if err := tg.open(t); err != nil {
+			return fmt.Errorf("open %s: %w", t.name, err)
+		}
+	}
+	return nil
+}
+
+// pass is one measured pass of a workload through a target.
+type pass struct {
+	submitted int64
+	elapsed   time.Duration
+	latency   *stats.Reservoir
+}
+
+func (p pass) elapsedMS() float64 { return float64(p.elapsed.Microseconds()) / 1000 }
+
+func (p pass) eventsPerSec() float64 { return float64(p.submitted) / p.elapsed.Seconds() }
+
+// drive is the measuring loop: open every tenant on tg, submit their
+// streams from concurrent producers, and flush. Elapsed spans
+// submission AND the flush barrier, so events still queued when the
+// producers finish are not counted as done — the semantics every
+// committed BENCH_PR*.json was measured with. A positive budget is a
+// submission deadline, counted from the first submit: producers stop
+// once it passes (how a ramp step is cut off).
+func drive(tg target, ts []*tenant, c config, budget time.Duration) (pass, error) {
+	if err := openAll(tg, ts); err != nil {
+		return pass{}, err
+	}
+	var stop func() bool
+	if budget > 0 {
+		deadline := time.Now().Add(budget)
+		stop = func() bool { return !time.Now().Before(deadline) }
+	}
+	res := stats.NewReservoir(latReservoirCap, c.seed)
+	submitted, start, err := produce(ts, c.producers, tg.submit, c.chunk, res, nil, stop)
+	if err != nil {
+		return pass{}, err
+	}
+	if err := tg.flush(ts); err != nil {
+		return pass{}, err
+	}
+	return pass{submitted: submitted, elapsed: time.Since(start), latency: res}, nil
+}
+
+// measure runs the workload once through tg and fills the report:
+// throughput, submit latency, the engine counters metrics reads and,
+// under -verify, every tenant's parity with Replay.
+func measure(report *jsonReport, tg target, ts []*tenant, c config, metrics func() (leasing.EngineMetrics, error)) error {
+	p, err := drive(tg, ts, c, 0)
+	if err != nil {
+		return err
+	}
+	report.ElapsedMS = p.elapsedMS()
+	report.EventsPerSec = p.eventsPerSec()
+	report.SubmitLatencyUS = summarize(p.latency)
+	if report.Engine, err = metrics(); err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	if c.verify && !verifyAll(report, tg, ts) {
+		return fmt.Errorf("%s output diverged from Replay", report.Mode)
+	}
+	return nil
+}
+
+// runEngine drives the in-process engine, the original leaseload mode.
+// A non-nil wlog makes the engine durable: every submit is write-ahead
+// logged before it is enqueued.
+func runEngine(report *jsonReport, ts []*tenant, c config, wlog *leasing.DurableLog) error {
+	cfg := c.engine()
 	if wlog != nil {
 		// Assigned only when non-nil: a typed nil pointer in the WAL
 		// interface field would read as a configured WAL.
@@ -506,80 +682,19 @@ func runEngine(report *jsonReport, ts []*tenant, p engineParams, wlog *leasing.D
 	}
 	eng := leasing.NewEngine(cfg)
 	defer eng.Close()
-	for _, t := range ts {
-		lsr, err := t.fresh()
-		if err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
-		}
-		if wlog != nil {
-			var spec []byte
-			if spec, err = leasing.WireOpenSpec(t.spec); err == nil {
-				err = eng.OpenSpec(t.name, lsr, spec)
-			}
-		} else {
-			err = eng.Open(t.name, lsr)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
-		}
-	}
-
-	res := stats.NewReservoir(latReservoirCap, report.Seed)
-	_, start, err := produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		return eng.SubmitBatch(t.name, t.events[lo:hi])
-	}, p.chunk, res, nil, nil)
-	if err != nil {
-		return err
-	}
-	if err := eng.Flush(); err != nil {
-		return err
-	}
-	// Elapsed spans submission AND the flush barrier, so events still
-	// queued on shards when producers finish are not counted as done —
-	// the semantics every committed BENCH_PR*.json was measured with.
-	elapsed := time.Since(start)
-
-	report.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-	report.EventsPerSec = float64(report.TotalEvents) / elapsed.Seconds()
-	report.SubmitLatencyUS = summarize(res)
-	report.Engine = eng.Metrics()
-
-	if p.verify {
-		ok := true
-		for _, t := range ts {
-			if err := verifyTenant(eng, t); err != nil {
-				ok = false
-				fmt.Fprintf(os.Stderr, "leaseload: verify %s: %v\n", t.name, err)
-			}
-		}
-		report.Verified = &ok
-		if !ok {
-			return fmt.Errorf("engine output diverged from Replay")
-		}
-	}
-	return nil
-}
-
-type remoteParams struct {
-	addr                                   string
-	shards, batch, queue, producers, chunk int
-	verify                                 bool
-	binary                                 bool
+	return measure(report, engineTarget{eng}, ts, c, func() (leasing.EngineMetrics, error) {
+		return eng.Metrics(), nil
+	})
 }
 
 // runRemote drives the HTTP lease service: against a running daemon at
-// p.addr, or against an in-process loopback daemon started here (the
+// addr, or against an in-process loopback daemon started here (the
 // zero-setup path, also how the committed BENCH_PR4.json is produced).
-func runRemote(report *jsonReport, ts []*tenant, p remoteParams) error {
+func runRemote(report *jsonReport, ts []*tenant, c config, addr string, binary bool) error {
 	ctx := context.Background()
-	addr := p.addr
+	base := addr
 	if addr == "" {
-		eng := leasing.NewEngine(leasing.EngineConfig{
-			Shards:     p.shards,
-			QueueDepth: p.queue,
-			BatchSize:  p.batch,
-			RecordRuns: p.verify,
-		})
+		eng := leasing.NewEngine(c.engine())
 		srv := &http.Server{Handler: leasing.Serve(eng, leasing.LeaseServerConfig{})}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -591,72 +706,28 @@ func runRemote(report *jsonReport, ts []*tenant, p remoteParams) error {
 			srv.Close()
 			eng.Close()
 		}()
-		addr = "http://" + ln.Addr().String()
+		base = "http://" + ln.Addr().String()
 	}
 	report.Encoding = "json"
-	if p.binary {
+	if binary {
 		report.Encoding = "binary"
 	}
-	cli := leasing.Dial(addr, leasing.RemoteClientOptions{Chunk: p.chunk, Binary: p.binary})
+	cli := leasing.Dial(base, leasing.RemoteClientOptions{Chunk: c.chunk, Binary: binary})
 	if err := cli.Health(ctx); err != nil {
-		return fmt.Errorf("health check %s: %w", addr, err)
+		return fmt.Errorf("health check %s: %w", base, err)
 	}
-
-	for _, t := range ts {
-		wevs, err := leasing.WireEvents(t.events)
-		if err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
-		}
-		t.wevs = wevs
-		if err := cli.Open(ctx, t.name, t.spec); err != nil {
-			return fmt.Errorf("open %s: %w", t.name, err)
-		}
-	}
-
-	res := stats.NewReservoir(latReservoirCap, report.Seed)
-	_, start, err := produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		_, err := cli.Submit(ctx, t.name, t.wevs[lo:hi])
-		return err
-	}, p.chunk, res, nil, nil)
-	if err != nil {
-		return err
-	}
-	if err := cli.Flush(ctx, ts[0].name); err != nil {
-		return err
-	}
-	// As in engine mode, elapsed spans submission and the flush barrier.
-	elapsed := time.Since(start)
-
-	report.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-	report.EventsPerSec = float64(report.TotalEvents) / elapsed.Seconds()
-	report.SubmitLatencyUS = summarize(res)
-	m, err := cli.Metrics(ctx)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	report.Engine = m.Engine()
-	if p.addr != "" {
+	err := measure(report, remoteTarget{node{cli}}, ts, c, func() (leasing.EngineMetrics, error) {
+		m, err := cli.Metrics(ctx)
+		return m.Engine(), err
+	})
+	if err == nil && addr != "" {
 		// The daemon owns its engine configuration: report the shard
 		// count it actually runs (visible in its metrics) and zero the
 		// knobs the load generator cannot observe.
-		report.Shards = len(m.Shards)
+		report.Shards = len(report.Engine.Shards)
 		report.Batch, report.Queue = 0, 0
 	}
-
-	if p.verify {
-		ok := true
-		for _, t := range ts {
-			if err := verifyRemoteTenant(ctx, cli, t); err != nil {
-				ok = false
-				fmt.Fprintf(os.Stderr, "leaseload: verify %s: %v\n", t.name, err)
-			}
-		}
-		report.Verified = &ok
-		if !ok {
-			return fmt.Errorf("remote output diverged from Replay")
-		}
-	}
-	return nil
+	return err
 }
 
 // durableReport is the combined fsync-on/off report -durable-bench
@@ -679,7 +750,7 @@ type durableReport struct {
 // fsync (appends hit the file, group commit idle) and once with it
 // (every acknowledgement is disk-durable). Each run gets a fresh
 // temporary data dir.
-func runDurableBench(base jsonReport, ts []*tenant, p engineParams) (durableReport, error) {
+func runDurableBench(base jsonReport, ts []*tenant, c config) (durableReport, error) {
 	combined := durableReport{
 		Tool: "leaseload", Mode: "durable-bench",
 		GoVersion: base.GoVersion, Seed: base.Seed,
@@ -696,7 +767,7 @@ func runDurableBench(base jsonReport, ts []*tenant, p engineParams) (durableRepo
 			return err
 		}
 		defer wlog.Close()
-		return runEngine(rep, ts, p, wlog)
+		return runEngine(rep, ts, c, wlog)
 	}
 	for _, fsync := range []bool{false, true} {
 		rep := base
@@ -718,12 +789,10 @@ func runDurableBench(base jsonReport, ts []*tenant, p engineParams) (durableRepo
 }
 
 type rampParams struct {
-	shards, batch, queue, producers, chunk int
-	stepTenants                            int
-	stepDur                                time.Duration
-	slaPct, slaMS                          float64
-	seed                                   int64
-	arrival                                string
+	stepTenants   int
+	stepDur       time.Duration
+	slaPct, slaMS float64
+	arrival       string
 }
 
 // runRamp is the SLA-driven stepped harness: each step serves the first
@@ -734,7 +803,7 @@ type rampParams struct {
 // AND the configured latency percentile stays under the threshold. The
 // knee — the last step that met the SLA — is the report's headline:
 // max sustainable throughput under SLA.
-func runRamp(report *jsonReport, ts []*tenant, p rampParams) error {
+func runRamp(report *jsonReport, ts []*tenant, c config, p rampParams) error {
 	slaUS := p.slaMS * 1000
 	r := &rampReport{
 		SLAPercentile:  p.slaPct,
@@ -748,7 +817,7 @@ func runRamp(report *jsonReport, ts []*tenant, p rampParams) error {
 	var totalElapsedMS float64
 	for n := min(p.stepTenants, len(ts)); ; n += p.stepTenants {
 		n = min(n, len(ts))
-		step, m, err := runRampStep(ts[:n], p, slaUS)
+		step, m, err := runRampStep(ts[:n], c, p, slaUS)
 		if err != nil {
 			return err
 		}
@@ -773,134 +842,262 @@ func runRamp(report *jsonReport, ts []*tenant, p rampParams) error {
 	return nil
 }
 
-// runRampStep measures one rung: open the step's tenants on a fresh
-// engine, submit their streams until done or deadline, flush, and
-// sample the latency reservoir at the SLA percentile.
-func runRampStep(ts []*tenant, p rampParams, slaUS float64) (rampStep, leasing.EngineMetrics, error) {
-	eng := leasing.NewEngine(leasing.EngineConfig{
-		Shards:     p.shards,
-		QueueDepth: p.queue,
-		BatchSize:  p.batch,
-	})
+// runRampStep measures one rung: the step's tenants through a fresh
+// engine until done or deadline, with the latency reservoir sampled at
+// the SLA percentile.
+func runRampStep(ts []*tenant, c config, p rampParams, slaUS float64) (rampStep, leasing.EngineMetrics, error) {
+	eng := leasing.NewEngine(c.engine())
 	defer eng.Close()
-	var total int64
-	for _, t := range ts {
-		lsr, err := t.fresh()
-		if err != nil {
-			return rampStep{}, leasing.EngineMetrics{}, fmt.Errorf("%s: %w", t.name, err)
-		}
-		if err := eng.Open(t.name, lsr); err != nil {
-			return rampStep{}, leasing.EngineMetrics{}, fmt.Errorf("%s: %w", t.name, err)
-		}
-		total += int64(len(t.events))
-	}
-	res := stats.NewReservoir(latReservoirCap, p.seed)
-	deadline := time.Now().Add(p.stepDur)
-	submitted, start, err := produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		return eng.SubmitBatch(t.name, t.events[lo:hi])
-	}, p.chunk, res, nil, func() bool { return !time.Now().Before(deadline) })
+	run, err := drive(engineTarget{eng}, ts, c, p.stepDur)
 	if err != nil {
 		return rampStep{}, leasing.EngineMetrics{}, err
 	}
-	if err := eng.Flush(); err != nil {
-		return rampStep{}, leasing.EngineMetrics{}, err
+	var total int64
+	for _, t := range ts {
+		total += int64(len(t.events))
 	}
-	elapsed := time.Since(start)
-
-	lat := res.Quantiles(p.slaPct)[0]
-	completed := submitted == total
+	lat := run.latency.Quantiles(p.slaPct)[0]
+	completed := run.submitted == total
 	step := rampStep{
 		Tenants:         len(ts),
-		SubmittedEvents: submitted,
+		SubmittedEvents: run.submitted,
 		Completed:       completed,
-		ElapsedMS:       float64(elapsed.Microseconds()) / 1000,
-		EventsPerSec:    float64(submitted) / elapsed.Seconds(),
-		SubmitLatencyUS: summarize(res),
+		ElapsedMS:       run.elapsedMS(),
+		EventsPerSec:    run.eventsPerSec(),
+		SubmitLatencyUS: summarize(run.latency),
 		LatencyAtSLAUS:  lat,
 		SLAMet:          completed && lat <= slaUS,
 	}
 	return step, eng.Metrics(), nil
 }
 
-type crashParams struct {
-	leasedBin, dataDir                     string
-	shards, batch, queue, producers, chunk int
+// daemon is one spawned leased process of a kill drill.
+type daemon struct {
+	url  string
+	args []string
+	cli  *leasing.RemoteClient
+	cmd  *exec.Cmd // nil while not running
 }
 
-// runCrash is the kill-and-recover drill. Phase one spawns a durable,
-// recording, fsyncing daemon and pumps load at it from concurrent
-// producers; once half the total events are acknowledged the daemon is
-// SIGKILLed mid-flight (producers treat errors after the kill begins as
-// expected). Phase two restarts the same binary on the same data dir,
-// flushes, reads every tenant's recovered processed-event count — the
-// authoritative resume point, since the WAL can hold acknowledged
-// events whose responses were lost with the process — submits the
-// remainder of each tenant's stream, and verifies every tenant's
-// result byte-identical to a single-threaded Replay of its full logged
-// history. The recovered daemon is finally drained with SIGTERM and
-// must exit cleanly.
-func runCrash(report *jsonReport, ts []*tenant, p crashParams) error {
+// startDaemons launches every daemon that is not running and waits
+// until each answers its liveness probe.
+func startDaemons(bin string, ds []*daemon) error {
+	for _, d := range ds {
+		if d.cmd != nil {
+			continue
+		}
+		cmd := exec.Command(bin, d.args...)
+		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+		if err := cmd.Start(); err != nil {
+			return fmt.Errorf("start %s as %s: %w", bin, d.url, err)
+		}
+		d.cmd = cmd
+	}
+	for _, d := range ds {
+		if err := waitHealthy(d.cli, 15*time.Second); err != nil {
+			return fmt.Errorf("node %s: %w", d.url, err)
+		}
+	}
+	return nil
+}
+
+// runDrill is the kill-and-recover drill against n real leased daemons:
+// one, or a cluster of n peered nodes that share a placement ring and
+// ship every WAL record to the tenant's replica. Each daemon records
+// runs and fsyncs its log. Phase one pumps load from concurrent
+// producers and SIGKILLs the victim — the only daemon, or the node
+// owning the most tenants — once half the events are acknowledged.
+// Recovery brings the victim's tenants back: the single daemon restarts
+// on the same data dir; a cluster drops the victim from its ring and has
+// the survivors adopt exactly its sessions (MarkDown + Activate). Every
+// tenant then resumes after the processed count its owner reports — the
+// authoritative point, since a log can hold acknowledged events whose
+// responses died with the process, and a victim can die before shipping
+// what it acknowledged — and must verify byte-identical to a
+// single-threaded Replay of its full history. The live daemons are
+// finally drained with SIGTERM and must exit cleanly.
+func runDrill(report *jsonReport, ts []*tenant, c config, bin, dataDir string, n int) error {
 	ctx := context.Background()
-	dir := p.dataDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "leaseload-crash-*")
+	ds := make([]*daemon, n)
+	urls := make([]string, n)
+	for i := range ds {
+		dir := dataDir
+		if dir == "" {
+			var err error
+			if dir, err = os.MkdirTemp("", "leaseload-crash-*"); err != nil {
+				return err
+			}
+			defer os.RemoveAll(dir)
+		}
+		port, err := freePort()
 		if err != nil {
 			return err
 		}
-		defer os.RemoveAll(dir)
-	}
-	port, err := freePort()
-	if err != nil {
-		return err
-	}
-	hostport := fmt.Sprintf("127.0.0.1:%d", port)
-	daemonArgs := []string{
-		"-addr", hostport, "-record", "-data-dir", dir, "-fsync",
-		"-shards", strconv.Itoa(p.shards),
-		"-queue", strconv.Itoa(p.queue),
-		"-batch", strconv.Itoa(p.batch),
-	}
-	start := func() (*exec.Cmd, error) {
-		cmd := exec.Command(p.leasedBin, daemonArgs...)
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("start %s: %w", p.leasedBin, err)
+		hostport := fmt.Sprintf("127.0.0.1:%d", port)
+		urls[i] = "http://" + hostport
+		ds[i] = &daemon{
+			url: urls[i],
+			args: []string{
+				"-addr", hostport, "-record", "-data-dir", dir, "-fsync",
+				"-shards", strconv.Itoa(c.shards),
+				"-queue", strconv.Itoa(c.queue),
+				"-batch", strconv.Itoa(c.batch),
+			},
+			cli: leasing.Dial(urls[i], leasing.RemoteClientOptions{Chunk: c.chunk}),
 		}
-		return cmd, nil
 	}
-	cli := leasing.Dial("http://"+hostport, leasing.RemoteClientOptions{Chunk: p.chunk})
-	t0 := time.Now()
+	cluster := n > 1
+	if cluster {
+		for _, d := range ds {
+			d.args = append(d.args, "-peers", strings.Join(urls, ","), "-self", d.url)
+		}
+	}
+	defer func() {
+		for _, d := range ds {
+			if d.cmd != nil {
+				d.cmd.Process.Kill()
+				d.cmd.Wait()
+			}
+		}
+	}()
+	if err := startDaemons(bin, ds); err != nil {
+		return err
+	}
 
-	// Phase one: spawn, open every tenant, pump load, SIGKILL mid-load.
-	daemon, err := start()
+	victim := ds[0]
+	var svc service = node{victim.cli}
+	// A lone daemon recovers by restarting on the same data dir.
+	revive := func() error { return startDaemons(bin, ds) }
+	if cluster {
+		cl, err := leasing.DialCluster(urls, leasing.RemoteClientOptions{Chunk: c.chunk})
+		if err != nil {
+			return err
+		}
+		svc = cl
+		// The victim is the node owning the most tenants, so the
+		// failover moves a meaningful share of the fleet.
+		owned := map[string]int{}
+		for _, t := range ts {
+			owned[cl.Owner(t.name)]++
+		}
+		for _, d := range ds {
+			if owned[d.url] > owned[victim.url] {
+				victim = d
+			}
+		}
+		doomed := owned[victim.url]
+		if doomed == 0 {
+			return fmt.Errorf("no tenant placed on the victim; widen the tenant set")
+		}
+		// Failover: drop the victim from the live ring — its tenants
+		// now route to their replicas — and have the survivors adopt
+		// exactly the sessions the victim owned.
+		revive = func() error {
+			if err := cl.MarkDown(victim.url); err != nil {
+				return err
+			}
+			activated, err := cl.Activate(ctx)
+			if err != nil {
+				return fmt.Errorf("activate failover: %w", err)
+			}
+			if activated != doomed {
+				return fmt.Errorf("activated %d sessions, want the victim's %d", activated, doomed)
+			}
+			return nil
+		}
+	}
+	tg := remoteTarget{svc}
+	if err := openAll(tg, ts); err != nil {
+		return err
+	}
+	if cluster {
+		// Let the shippers deliver the open records before any node can
+		// die: a tenant whose open never reached its replica would have
+		// nothing to fail over to. Event records lost the same way are
+		// fine — the resume loop re-sends them.
+		time.Sleep(250 * time.Millisecond)
+	}
+
+	start := time.Now()
+	latency, err := killUnderLoad(tg, ts, c, victim, max(report.TotalEvents/2, 1))
 	if err != nil {
 		return err
 	}
-	kill := func() {
-		daemon.Process.Kill()
-		daemon.Wait()
+	if err := revive(); err != nil {
+		return err
 	}
-	if err := waitHealthy(ctx, cli, 15*time.Second); err != nil {
-		kill()
+	if err := tg.flush(ts); err != nil {
 		return err
 	}
 	for _, t := range ts {
-		wevs, err := leasing.WireEvents(t.events)
+		n, err := svc.Processed(ctx, t.name)
 		if err != nil {
-			kill()
-			return fmt.Errorf("%s: %w", t.name, err)
+			return fmt.Errorf("recovered count of %s: %w", t.name, err)
 		}
-		t.wevs = wevs
-		if err := cli.Open(ctx, t.name, t.spec); err != nil {
-			kill()
-			return fmt.Errorf("open %s: %w", t.name, err)
+		if n > int64(len(t.wevs)) {
+			return fmt.Errorf("%s: recovered %d events, only %d were ever submitted", t.name, n, len(t.wevs))
+		}
+		if _, err := svc.SubmitResume(ctx, t.name, t.wevs, int(n)); err != nil {
+			return fmt.Errorf("resume %s after %d: %w", t.name, n, err)
 		}
 	}
+	if err := tg.flush(ts); err != nil {
+		return err
+	}
+	for _, t := range ts {
+		n, err := svc.Processed(ctx, t.name)
+		if err != nil {
+			return err
+		}
+		if n != int64(len(t.wevs)) {
+			return fmt.Errorf("%s: processed %d after resume, want %d", t.name, n, len(t.wevs))
+		}
+	}
+	elapsed := time.Since(start)
+	report.ElapsedMS = float64(elapsed.Microseconds()) / 1000
+	report.EventsPerSec = float64(report.TotalEvents) / elapsed.Seconds()
+	report.SubmitLatencyUS = summarize(latency)
+	if !cluster {
+		// The restarted daemon holds the whole recovered history; a
+		// cluster's survivors each hold only part of it, so the cluster
+		// drill reports no engine counters.
+		if m, err := victim.cli.Metrics(ctx); err == nil {
+			report.Engine = m.Engine()
+		}
+	}
+	ok := verifyAll(report, tg, ts)
 
+	for _, d := range ds {
+		if d.cmd != nil {
+			if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				return err
+			}
+		}
+	}
+	for _, d := range ds {
+		if d.cmd != nil {
+			err := d.cmd.Wait()
+			d.cmd = nil
+			if err != nil {
+				return fmt.Errorf("node %s did not drain cleanly: %w", d.url, err)
+			}
+		}
+	}
+	if !ok {
+		return fmt.Errorf("kill-and-recover parity failed: a recovered tenant diverged from Replay of its full history")
+	}
+	return nil
+}
+
+// killUnderLoad is a drill's phase one: it pumps every tenant's stream
+// at tg from concurrent producers and SIGKILLs the victim once killAt
+// events are acknowledged (or when the producers finish first). Submit
+// errors once the kill is underway are the point of the drill; anything
+// earlier is a real failure. It returns the latencies of the submits
+// that succeeded.
+func killUnderLoad(tg target, ts []*tenant, c config, victim *daemon, killAt int64) (*stats.Reservoir, error) {
 	var accepted atomic.Int64
 	var dying atomic.Bool
-	killAt := max(report.TotalEvents/2, 1)
 	doneProducing := make(chan struct{})
 	killed := make(chan struct{})
 	go func() {
@@ -916,92 +1113,31 @@ func runCrash(report *jsonReport, ts []*tenant, p crashParams) error {
 			case <-doneProducing:
 			}
 			dying.Store(true)
-			daemon.Process.Kill()
+			victim.cmd.Process.Kill()
 			return
 		}
 	}()
-
-	// Errors once the kill is underway are the whole point of the drill;
-	// anything earlier is a real failure.
-	_, _, err = produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		n, err := cli.Submit(ctx, t.name, t.wevs[lo:hi])
+	res := stats.NewReservoir(latReservoirCap, c.seed)
+	_, _, err := produce(ts, c.producers, func(t *tenant, lo, hi int) (int, error) {
+		n, err := tg.submit(t, lo, hi)
 		accepted.Add(int64(n))
-		return err
-	}, p.chunk, stats.NewReservoir(latReservoirCap, report.Seed), func(error) bool { return dying.Load() }, nil)
+		return n, err
+	}, c.chunk, res, func(error) bool { return dying.Load() }, nil)
 	close(doneProducing)
 	<-killed
-	daemon.Wait() // reap; a kill-induced exit error is expected
+	victim.cmd.Wait() // reap; a kill-induced exit error is expected
+	victim.cmd = nil
 	if err != nil {
-		return fmt.Errorf("pre-kill failure: %w", err)
+		return nil, fmt.Errorf("pre-kill failure: %w", err)
 	}
-
-	// Phase two: restart on the same data dir, resume, verify, drain.
-	daemon2, err := start()
-	if err != nil {
-		return err
-	}
-	graceful := false
-	defer func() {
-		if !graceful {
-			daemon2.Process.Kill()
-			daemon2.Wait()
-		}
-	}()
-	if err := waitHealthy(ctx, cli, 15*time.Second); err != nil {
-		return err
-	}
-	if err := cli.Flush(ctx, ts[0].name); err != nil {
-		return err
-	}
-	for _, t := range ts {
-		n, err := cli.Processed(ctx, t.name)
-		if err != nil {
-			return fmt.Errorf("recovered count of %s: %w", t.name, err)
-		}
-		if n > int64(len(t.wevs)) {
-			return fmt.Errorf("%s: recovered %d events, only %d were ever submitted", t.name, n, len(t.wevs))
-		}
-		if _, err := cli.Submit(ctx, t.name, t.wevs[n:]); err != nil {
-			return fmt.Errorf("resume %s after %d: %w", t.name, n, err)
-		}
-	}
-	if err := cli.Flush(ctx, ts[0].name); err != nil {
-		return err
-	}
-	elapsed := time.Since(t0)
-	report.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-	report.EventsPerSec = float64(report.TotalEvents) / elapsed.Seconds()
-
-	if m, err := cli.Metrics(ctx); err == nil {
-		report.Engine = m.Engine()
-	}
-	ok := true
-	for _, t := range ts {
-		if err := verifyRemoteTenant(ctx, cli, t); err != nil {
-			ok = false
-			fmt.Fprintf(os.Stderr, "leaseload: verify %s: %v\n", t.name, err)
-		}
-	}
-	report.Verified = &ok
-
-	if err := daemon2.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	if err := daemon2.Wait(); err != nil {
-		return fmt.Errorf("recovered daemon did not drain cleanly: %w", err)
-	}
-	graceful = true
-	if !ok {
-		return fmt.Errorf("kill-and-recover parity failed: a recovered tenant diverged from Replay of its logged history")
-	}
-	return nil
+	return res, nil
 }
 
 // waitHealthy polls the daemon's liveness probe until it answers.
-func waitHealthy(ctx context.Context, cli *leasing.RemoteClient, timeout time.Duration) error {
+func waitHealthy(cli *leasing.RemoteClient, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if err := cli.Health(ctx); err == nil {
+		if err := cli.Health(context.Background()); err == nil {
 			return nil
 		}
 		time.Sleep(50 * time.Millisecond)
@@ -1034,7 +1170,7 @@ func freePort() (int, error) {
 // crash drill absorbs the daemon dying under it. A non-nil stop is
 // polled between submits; once it reports true producers wind down
 // cleanly — how a ramp step enforces its deadline.
-func produce(ts []*tenant, producers int, submit func(t *tenant, lo, hi int) error, chunk int, res *stats.Reservoir, tolerate func(error) bool, stop func() bool) (int64, time.Time, error) {
+func produce(ts []*tenant, producers int, submit func(t *tenant, lo, hi int) (int, error), chunk int, res *stats.Reservoir, tolerate func(error) bool, stop func() bool) (int64, time.Time, error) {
 	errs := make([]error, producers)
 	var submitted atomic.Int64
 	var wg sync.WaitGroup
@@ -1060,7 +1196,7 @@ func produce(ts []*tenant, producers int, submit func(t *tenant, lo, hi int) err
 					}
 					hi := min(lo+chunk, len(t.events))
 					t0 := time.Now()
-					if err := submit(t, lo, hi); err != nil {
+					if _, err := submit(t, lo, hi); err != nil {
 						if tolerate == nil || !tolerate(err) {
 							errs[p] = fmt.Errorf("producer %d: %s events [%d:%d): %w", p, t.name, lo, hi, err)
 						}
@@ -1085,15 +1221,6 @@ func summarize(res *stats.Reservoir) latencyStats {
 	return latencyStats{P50: qs[0], P90: qs[1], P99: qs[2], Max: res.Max()}
 }
 
-// buildTenant synthesizes one tenant's instance, event stream, leaser
-// factory and wire spec; the domain cycles with the tenant index. All
-// randomness flows from tseed, so a tenant is reproducible independent
-// of the others. The arrival process named by arrivalName gates which
-// steps carry demand; each tenant gets its own instance (the processes
-// are stateful), with mean rate 0.5 so every process lands near the
-// same event volume. "constant" consumes the rng exactly like the
-// original Bernoulli(0.5) streams, so default traffic is unchanged
-// across committed seeds and BENCH snapshots.
 // domainOrder is the full domain cycle, in the order tenants have
 // always been assigned to it; -domains picks a subset.
 var domainOrder = []string{"days", "deadline", "elements", "facility", "steiner", "reusable"}
@@ -1115,6 +1242,14 @@ func domainKinds(list string) ([]int, error) {
 	return kinds, nil
 }
 
+// buildTenant synthesizes one tenant's event stream and wire spec; the
+// domain is domainOrder[kind]. All randomness flows from tseed, so a
+// tenant is reproducible independent of the others. The arrival process
+// named by arrivalName gates which steps carry demand; each tenant gets
+// its own instance (the processes are stateful), with mean rate 0.5 so
+// every process lands near the same event volume. "constant" consumes
+// the rng exactly like the original Bernoulli(0.5) streams, so default
+// traffic is unchanged across committed seeds and BENCH snapshots.
 func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int, arrivalName string, period int64) (*tenant, error) {
 	rng := rand.New(rand.NewSource(tseed))
 	horizon := int64(2 * events)
@@ -1122,35 +1257,19 @@ func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int,
 	if err != nil {
 		return nil, err
 	}
-	types := leasing.WireLeaseTypes(cfg)
+	t := &tenant{
+		name:   fmt.Sprintf("t%04d-%s", i, domainOrder[kind]),
+		domain: domainOrder[kind],
+		spec:   leasing.RemoteOpenRequest{Types: leasing.WireLeaseTypes(cfg)},
+	}
 	switch kind {
 	case 0:
-		days := workload.ArrivalDays(rng, horizon, arr)
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-days", i),
-			domain: "days",
-			events: leasing.DayEvents(days),
-			fresh: func() (leasing.Leaser, error) {
-				alg, err := leasing.NewDeterministicParkingPermit(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return leasing.NewParkingStream(alg), nil
-			},
-			spec: leasing.RemoteOpenRequest{Domain: wire.DomainParking, Types: types},
-		}, nil
+		t.events = leasing.DayEvents(workload.ArrivalDays(rng, horizon, arr))
+		t.spec.Domain = wire.DomainParking
 
 	case 1:
-		clients := workload.DeadlineArrivals(rng, horizon, arr, 12)
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-deadline", i),
-			domain: "deadline",
-			events: leasing.WindowEvents(clients),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewDeadlineStream(cfg)
-			},
-			spec: leasing.RemoteOpenRequest{Domain: wire.DomainDeadline, Types: types},
-		}, nil
+		t.events = leasing.WindowEvents(workload.DeadlineArrivals(rng, horizon, arr, 12))
+		t.spec.Domain = wire.DomainDeadline
 
 	case 2:
 		const n, m, delta = 32, 20, 3
@@ -1165,10 +1284,6 @@ func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int,
 			return nil, err
 		}
 		costs := leasing.RandomSetCosts(rng, m, cfg, 0.5)
-		inst, err := leasing.NewSetCoverInstance(fam, cfg, costs, arrivals, leasing.PerArrival)
-		if err != nil {
-			return nil, err
-		}
 		sets := make([][]int, fam.M())
 		for s := range sets {
 			sets[s] = fam.Set(s)
@@ -1177,20 +1292,11 @@ func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int,
 		for j, a := range arrivals {
 			warr[j] = wire.ElementArrival{T: a.T, Elem: a.Elem, P: a.P}
 		}
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-elements", i),
-			domain: "elements",
-			events: leasing.ElementEvents(arrivals),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewSetCoverStream(inst, rand.New(rand.NewSource(tseed+1)))
-			},
-			spec: leasing.RemoteOpenRequest{
-				Domain: wire.DomainSetCover, Types: types, Seed: tseed + 1,
-				SetCover: &wire.SetCoverSpec{
-					Elements: n, Sets: sets, Costs: costs, Arrivals: warr,
-				},
-			},
-		}, nil
+		t.events = leasing.ElementEvents(arrivals)
+		t.spec.Domain, t.spec.Seed = wire.DomainSetCover, tseed+1
+		t.spec.SetCover = &wire.SetCoverSpec{
+			Elements: n, Sets: sets, Costs: costs, Arrivals: warr,
+		}
 
 	case 3:
 		// Client batches clustered around a handful of sites; one Batch
@@ -1215,69 +1321,29 @@ func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int,
 		// byte-for-byte (committed BENCH traffic); other processes gate
 		// which steps receive clients, like every other domain.
 		batches := make([][]leasing.Point, events/2+1)
-		for t := range batches {
+		for step := range batches {
 			c := rng.Intn(3)
 			if arrivalName != "constant" {
 				c = 0
-				if arr.Step(rng, int64(t)) {
+				if arr.Step(rng, int64(step)) {
 					c = 1 + rng.Intn(2)
 				}
 			}
 			for ; c > 0; c-- {
 				s := sites[rng.Intn(sitesN)]
-				batches[t] = append(batches[t], leasing.Point{
+				batches[step] = append(batches[step], leasing.Point{
 					X: s.X + rng.Float64()*4, Y: s.Y + rng.Float64()*4})
 			}
 		}
-		inst, err := leasing.NewFacilityInstance(cfg, sites, facCosts, batches)
-		if err != nil {
-			return nil, err
+		t.events = leasing.BatchEvents(batches)
+		t.spec.Domain = wire.DomainFacility
+		t.spec.Facility = &wire.FacilitySpec{
+			Sites:   wirePoints(sites),
+			Costs:   facCosts,
+			Batches: wireBatches(batches),
 		}
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-facility", i),
-			domain: "facility",
-			events: leasing.BatchEvents(batches),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewFacilityStream(inst)
-			},
-			spec: leasing.RemoteOpenRequest{
-				Domain: wire.DomainFacility, Types: types,
-				Facility: &wire.FacilitySpec{
-					Sites:   wirePoints(sites),
-					Costs:   facCosts,
-					Batches: wireBatches(batches),
-				},
-			},
-		}, nil
 
-	case 5:
-		// Reusable-resource pool: demand steps gated by the arrival
-		// process, usage durations uniform in [1, 8], capacity sized so
-		// both grants and whole-pool-busy rejections occur.
-		const capacity = 4
-		days := workload.ArrivalDays(rng, horizon, arr)
-		reqs := make([]leasing.ReusableRequest, len(days))
-		for j, d := range days {
-			reqs[j] = leasing.ReusableRequest{T: d, Dur: 1 + int64(rng.Intn(8))}
-		}
-		inst, err := leasing.NewReusableInstance(cfg, capacity, reqs)
-		if err != nil {
-			return nil, err
-		}
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-reusable", i),
-			domain: "reusable",
-			events: leasing.UseEvents(reqs),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewReusableStream(inst)
-			},
-			spec: leasing.RemoteOpenRequest{
-				Domain: wire.DomainReusable, Types: types,
-				Reusable: &wire.ReusableSpec{Capacity: capacity},
-			},
-		}, nil
-
-	default:
+	case 4:
 		const terminals = 16
 		g, err := leasing.RandomConnectedGraph(rng, terminals, 3*terminals, 1, 10)
 		if err != nil {
@@ -1293,29 +1359,34 @@ func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int,
 			reqs[j] = leasing.SteinerRequest{Time: c.T, S: c.S, T: c.U}
 			wreqs[j] = wire.ConnectRequest{T: c.T, S: c.S, U: c.U}
 		}
-		inst, err := leasing.NewSteinerInstance(g, cfg, reqs)
-		if err != nil {
-			return nil, err
-		}
 		edges := make([]wire.Edge, g.M())
 		for j, e := range g.Edges() {
 			edges[j] = wire.Edge{U: e.U, V: e.V, W: e.Weight}
 		}
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-steiner", i),
-			domain: "steiner",
-			events: leasing.ConnectEvents(reqs),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewSteinerStream(inst)
-			},
-			spec: leasing.RemoteOpenRequest{
-				Domain: wire.DomainSteiner, Types: types,
-				Steiner: &wire.SteinerSpec{
-					Vertices: terminals, Edges: edges, Requests: wreqs,
-				},
-			},
-		}, nil
+		t.events = leasing.ConnectEvents(reqs)
+		t.spec.Domain = wire.DomainSteiner
+		t.spec.Steiner = &wire.SteinerSpec{
+			Vertices: terminals, Edges: edges, Requests: wreqs,
+		}
+
+	case 5:
+		// Reusable-resource pool: demand steps gated by the arrival
+		// process, usage durations uniform in [1, 8], capacity sized so
+		// both grants and whole-pool-busy rejections occur.
+		const capacity = 4
+		days := workload.ArrivalDays(rng, horizon, arr)
+		reqs := make([]leasing.ReusableRequest, len(days))
+		for j, d := range days {
+			reqs[j] = leasing.ReusableRequest{T: d, Dur: 1 + int64(rng.Intn(8))}
+		}
+		t.events = leasing.UseEvents(reqs)
+		t.spec.Domain = wire.DomainReusable
+		t.spec.Reusable = &wire.ReusableSpec{Capacity: capacity}
 	}
+	if t.wevs, err = leasing.WireEvents(t.events); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 func wirePoints(ps []leasing.Point) []wire.Point {
@@ -1336,15 +1407,16 @@ func wireBatches(batches [][]leasing.Point) [][]wire.Point {
 	return out
 }
 
-// verifyTenant holds the engine to its determinism anchor: the recorded
-// run, cached cost and snapshot must equal a fresh single-threaded
-// Replay of the tenant's events.
-func verifyTenant(eng *leasing.Engine, t *tenant) error {
-	got, err := eng.Result(t.name)
+// verifyTenant holds a target to the determinism anchor: the tenant's
+// recorded run, cached cost and snapshot must equal a single-threaded
+// Replay of a leaser built from its own wire spec, and closing the
+// session must report every event of its stream.
+func verifyTenant(tg target, t *tenant) error {
+	got, err := tg.result(t.name)
 	if err != nil {
 		return err
 	}
-	ref, err := t.fresh()
+	ref, err := t.spec.Build()
 	if err != nil {
 		return err
 	}
@@ -1355,77 +1427,42 @@ func verifyTenant(eng *leasing.Engine, t *tenant) error {
 	if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
 		return fmt.Errorf("recorded run differs from Replay")
 	}
-	cost, err := eng.Cost(t.name)
+	cost, err := tg.cost(t.name)
 	if err != nil {
 		return err
 	}
 	if cost != want.Final {
-		return fmt.Errorf("cached cost %+v != replay final %+v", cost, want.Final)
+		return fmt.Errorf("cost %+v != replay final %+v", cost, want.Final)
 	}
-	sol, err := eng.Snapshot(t.name)
+	sol, err := tg.snapshot(t.name)
 	if err != nil {
 		return err
 	}
 	if fmt.Sprintf("%#v", sol) != fmt.Sprintf("%#v", ref.Snapshot()) {
-		return fmt.Errorf("cached snapshot differs from replay snapshot")
+		return fmt.Errorf("snapshot differs from replay snapshot")
+	}
+	events, err := tg.close(t.name)
+	if err != nil {
+		return err
+	}
+	if events != int64(len(t.events)) {
+		return fmt.Errorf("close reports %d events, submitted %d", events, len(t.events))
 	}
 	return nil
 }
 
-// tenantReader is the read surface verifyRemoteTenant checks — the
-// single-node client and the cluster client both provide it, so the
-// crash drills share one verification.
-type tenantReader interface {
-	Result(context.Context, string) (*wire.Run, error)
-	Cost(context.Context, string) (wire.CostBreakdown, error)
-	Snapshot(context.Context, string) (wire.Solution, error)
-	Close(context.Context, string) (wire.CloseResponse, error)
-}
-
-// verifyRemoteTenant holds the service to the same anchor over the
-// network: the run fetched through the result endpoint must be
-// byte-identical to a single-threaded Replay of a leaser built from the
-// tenant's own wire spec, the cost endpoint must agree exactly, and
-// close must report the session's full event count.
-func verifyRemoteTenant(ctx context.Context, cli tenantReader, t *tenant) error {
-	wrun, err := cli.Result(ctx, t.name)
-	if err != nil {
-		return err
+// verifyAll verifies every tenant, logging each divergence, and records
+// the verdict in the report.
+func verifyAll(report *jsonReport, tg target, ts []*tenant) bool {
+	ok := true
+	for _, t := range ts {
+		if err := verifyTenant(tg, t); err != nil {
+			ok = false
+			fmt.Fprintf(os.Stderr, "leaseload: verify %s: %v\n", t.name, err)
+		}
 	}
-	got := wrun.Stream()
-	ref, err := t.spec.Build()
-	if err != nil {
-		return err
-	}
-	want, err := leasing.Replay(ref, t.events)
-	if err != nil {
-		return err
-	}
-	if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-		return fmt.Errorf("remote run differs from Replay")
-	}
-	cost, err := cli.Cost(ctx, t.name)
-	if err != nil {
-		return err
-	}
-	if cost.Stream() != want.Final || cost.Total != want.Final.Total() {
-		return fmt.Errorf("remote cost %+v != replay final %+v", cost, want.Final)
-	}
-	snap, err := cli.Snapshot(ctx, t.name)
-	if err != nil {
-		return err
-	}
-	if fmt.Sprintf("%#v", snap.Stream()) != fmt.Sprintf("%#v", ref.Snapshot()) {
-		return fmt.Errorf("remote snapshot differs from replay snapshot")
-	}
-	closed, err := cli.Close(ctx, t.name)
-	if err != nil {
-		return err
-	}
-	if closed.Events != int64(len(t.events)) {
-		return fmt.Errorf("close reports %d events, submitted %d", closed.Events, len(t.events))
-	}
-	return nil
+	report.Verified = &ok
+	return ok
 }
 
 func writeJSON(report any, outPath string, w io.Writer) error {
@@ -1472,8 +1509,10 @@ func printText(w io.Writer, r jsonReport) {
 		r.TotalEvents, r.ElapsedMS, r.EventsPerSec)
 	fmt.Fprintf(w, "submit latency µs: p50=%.1f p90=%.1f p99=%.1f max=%.1f\n",
 		r.SubmitLatencyUS.P50, r.SubmitLatencyUS.P90, r.SubmitLatencyUS.P99, r.SubmitLatencyUS.Max)
-	fmt.Fprintf(w, "shards:  %d batches (%.1f events/batch avg), dropped %d, total cost %.2f\n",
-		r.Engine.Batches, float64(r.Engine.Events)/float64(max(r.Engine.Batches, 1)), r.Engine.Dropped, r.Engine.Cost)
+	if len(r.Engine.Shards) > 0 { // the cluster drill reads no engine counters
+		fmt.Fprintf(w, "shards:  %d batches (%.1f events/batch avg), dropped %d, total cost %.2f\n",
+			r.Engine.Batches, float64(r.Engine.Events)/float64(max(r.Engine.Batches, 1)), r.Engine.Dropped, r.Engine.Cost)
+	}
 	if r.Verified != nil {
 		fmt.Fprintf(w, "verified: every tenant byte-identical to single-threaded Replay: %v\n", *r.Verified)
 	}

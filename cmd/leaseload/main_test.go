@@ -171,10 +171,7 @@ func TestCrashRecovery(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("drill relies on SIGKILL/SIGTERM")
 	}
-	bin := filepath.Join(t.TempDir(), "leased")
-	if out, err := exec.Command("go", "build", "-o", bin, "../leased").CombinedOutput(); err != nil {
-		t.Fatalf("build leased: %v\n%s", err, out)
-	}
+	bin := buildLeased(t)
 	var buf bytes.Buffer
 	err := run([]string{
 		"-crash", "-leased", bin, "-tenants", "8", "-events", "60",
@@ -195,6 +192,101 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	if rep.Engine.Events != rep.TotalEvents {
 		t.Errorf("recovered daemon processed %d of %d events", rep.Engine.Events, rep.TotalEvents)
+	}
+	if rep.SubmitLatencyUS.P50 <= 0 {
+		t.Errorf("submit latency p50 = %v, want the drill's measured sample", rep.SubmitLatencyUS.P50)
+	}
+}
+
+// TestClusterCrashRecovery runs the multi-node drill: three peered
+// daemons, the busiest SIGKILLed mid-load, its tenants failed over to
+// their replicas, every tenant resumed and verified against Replay.
+func TestClusterCrashRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster drill builds and spawns the daemon")
+	}
+	if runtime.GOOS == "windows" {
+		t.Skip("drill relies on SIGKILL/SIGTERM")
+	}
+	bin := buildLeased(t)
+	var buf bytes.Buffer
+	err := run([]string{
+		"-crash", "-cluster", "-nodes", "3", "-leased", bin,
+		"-tenants", "12", "-events", "60", "-shards", "2", "-producers", "2", "-json",
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep jsonReport
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatalf("decode report: %v", err)
+	}
+	if rep.Mode != "crash-cluster" {
+		t.Errorf("mode = %q", rep.Mode)
+	}
+	if rep.Verified == nil || !*rep.Verified {
+		t.Error("failed-over run was not verified against Replay")
+	}
+	if rep.SubmitLatencyUS.P50 <= 0 {
+		t.Errorf("submit latency p50 = %v, want the drill's measured sample", rep.SubmitLatencyUS.P50)
+	}
+	// No engine counters are read from a cluster, so the text report
+	// leaves the shards line out rather than print zeros.
+	var text bytes.Buffer
+	printText(&text, rep)
+	if strings.Contains(text.String(), "shards:") {
+		t.Errorf("text report shows unmeasured engine counters:\n%s", text.String())
+	}
+}
+
+// buildLeased builds the daemon the drills spawn.
+func buildLeased(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "leased")
+	if out, err := exec.Command("go", "build", "-o", bin, "../leased").CombinedOutput(); err != nil {
+		t.Fatalf("build leased: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestClusterBenchReport runs the scaling benchmark on a small workload
+// and checks the combined report is self-consistent.
+func TestClusterBenchReport(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-cluster-bench", "-tenants", "8", "-events", "40"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var rep clusterReport
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatalf("decode report: %v", err)
+	}
+	if rep.Mode != "cluster-bench" {
+		t.Errorf("mode = %q", rep.Mode)
+	}
+	if len(rep.Fleets) != 3 {
+		t.Fatalf("fleets = %d, want 3", len(rep.Fleets))
+	}
+	for i, want := range []int{1, 2, 4} {
+		f := rep.Fleets[i]
+		if f.Nodes != want {
+			t.Errorf("fleet %d nodes = %d, want %d", i, f.Nodes, want)
+		}
+		if f.EventsPerSec <= 0 {
+			t.Errorf("fleet %d has no throughput: %+v", i, f)
+		}
+		if want > 1 && f.ShippedRecords <= 0 {
+			t.Errorf("%d-node fleet shipped no records", want)
+		}
+	}
+	if rep.Fleets[0].SpeedupVsSingle != 1 {
+		t.Errorf("single-node speedup = %v, want 1", rep.Fleets[0].SpeedupVsSingle)
+	}
+	last := rep.Fleets[len(rep.Fleets)-1]
+	if rep.EventsPerSec != last.EventsPerSec {
+		t.Errorf("top-level events_per_sec %v != last fleet's %v", rep.EventsPerSec, last.EventsPerSec)
+	}
+	if want := last.SpeedupVsSingle / float64(last.Nodes); rep.ScalingEfficiency != want {
+		t.Errorf("scaling efficiency %v, want %v", rep.ScalingEfficiency, want)
 	}
 }
 
