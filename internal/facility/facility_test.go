@@ -489,11 +489,16 @@ func TestResetEachRoundClearsDistanceOrder(t *testing.T) {
 // the bids summed over all clients in index order and the active clients
 // walked in a freshly sorted distance order.
 func scratchTightTime(o *Online, i, kk int, tau float64) float64 {
-	ps := &o.ps
-	c := o.inst.FacCosts[i][kk]
+	return literalTightTime(o.inst.FacCosts[i][kk], o.clients, o.ps.alpha, o.ps.frozen, o.ps.k, i, kk, tau)
+}
+
+// literalTightTime is the from-scratch tight time of facility (i, kk)
+// with cost c over clients whose potentials are alpha and frozen, laid
+// out j*k+kk.
+func literalTightTime(c float64, clients []clientState, alpha []float64, frozen []bool, k, i, kk int, tau float64) float64 {
 	base := 0.0
-	for j := range o.clients {
-		if a, d := ps.alpha[j*ps.k+kk], o.clients[j].dists[i]; ps.frozen[j*ps.k+kk] && a > d {
+	for j := range clients {
+		if a, d := alpha[j*k+kk], clients[j].dists[i]; frozen[j*k+kk] && a > d {
 			base += a - d
 		}
 	}
@@ -501,9 +506,9 @@ func scratchTightTime(o *Online, i, kk int, tau float64) float64 {
 		return tau
 	}
 	var active []float64
-	for j := range o.clients {
-		if !ps.frozen[j*ps.k+kk] {
-			active = append(active, o.clients[j].dists[i])
+	for j := range clients {
+		if !frozen[j*k+kk] {
+			active = append(active, clients[j].dists[i])
 		}
 	}
 	sort.Float64s(active)
