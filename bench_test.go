@@ -442,33 +442,51 @@ const observeEvents = 256
 func BenchmarkObserve(b *testing.B) {
 	for _, name := range []string{"parking", "parking-rand", "deadline", "setcover", "scld", "facility", "steiner", "reusable"} {
 		b.Run(name, func(b *testing.B) {
-			events, fresh := observeStream(b, name)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l := fresh()
-				for j, ev := range events {
-					if _, err := l.Observe(ev); err != nil {
-						b.Fatal(err)
-					}
-					if j%4 == 3 {
-						l.Snapshot()
-					}
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+			benchObserve(b, name, observeEvents)
 		})
 	}
 }
 
-// observeStream builds a domain's 256-event benchmark stream (demand on
+// BenchmarkFacilityHistory measures how facility's per-event cost grows
+// with its history: BenchmarkObserve/facility's stream and loop, with
+// default options, at 256 and 1024 events. Without round resets phase 1
+// re-runs over every client seen so far, so ns/event grows with N.
+func BenchmarkFacilityHistory(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			benchObserve(b, "facility", n)
+		})
+	}
+}
+
+// benchObserve feeds one fresh leaser per iteration the domain's n-event
+// stream, with a Snapshot after every 4 events, and reports ns/event.
+func benchObserve(b *testing.B, domain string, n int) {
+	events, fresh := observeStream(b, domain, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := fresh()
+		for j, ev := range events {
+			if _, err := l.Observe(ev); err != nil {
+				b.Fatal(err)
+			}
+			if j%4 == 3 {
+				l.Snapshot()
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+}
+
+// observeStream builds a domain's n-event benchmark stream (demand on
 // about half the steps, as cmd/leaseload synthesizes it) and a factory
 // of fresh leasers over it.
-func observeStream(b *testing.B, domain string) ([]stream.Event, func() stream.Leaser) {
+func observeStream(b *testing.B, domain string, n int) ([]stream.Event, func() stream.Leaser) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(11))
 	cfg := lease.PowerConfig(3, 4, 0.55)
-	const horizon = 4*observeEvents + 64
+	horizon := int64(4*n + 64)
 	arr, err := workload.NewArrival("constant", 0.5, 64)
 	if err != nil {
 		b.Fatal(err)
@@ -485,7 +503,7 @@ func observeStream(b *testing.B, domain string) ([]stream.Event, func() stream.L
 	)
 	switch domain {
 	case "parking", "parking-rand", "reusable":
-		days := workload.ArrivalDays(rng, horizon, arr)[:observeEvents]
+		days := workload.ArrivalDays(rng, horizon, arr)[:n]
 		switch domain {
 		case "parking":
 			events = stream.Days(days)
@@ -510,7 +528,7 @@ func observeStream(b *testing.B, domain string) ([]stream.Event, func() stream.L
 			}
 		}
 	case "deadline":
-		events = stream.Windows(workload.DeadlineArrivals(rng, horizon, arr, 12)[:observeEvents])
+		events = stream.Windows(workload.DeadlineArrivals(rng, horizon, arr, 12)[:n])
 		fresh = func() stream.Leaser {
 			alg, err := deadline.NewOnline(cfg)
 			return must(deadline.NewLeaser(alg), err)
@@ -524,7 +542,7 @@ func observeStream(b *testing.B, domain string) ([]stream.Event, func() stream.L
 		costs := setcover.RandomCosts(rng, sets, cfg, 0.5)
 		if domain == "setcover" {
 			arrivals := workload.ElementArrivals(rng, horizon, arr,
-				func() int { return rng.Intn(elems) }, func() int { return 1 + rng.Intn(2) })[:observeEvents]
+				func() int { return rng.Intn(elems) }, func() int { return 1 + rng.Intn(2) })[:n]
 			inst, err := setcover.NewInstance(fam, cfg, costs, arrivals, setcover.PerArrival)
 			if err != nil {
 				b.Fatal(err)
@@ -536,8 +554,8 @@ func observeStream(b *testing.B, domain string) ([]stream.Event, func() stream.L
 			}
 			break
 		}
-		arrivals := make([]deadline.SCLDArrival, 0, observeEvents)
-		for day := int64(0); len(arrivals) < observeEvents; day++ {
+		arrivals := make([]deadline.SCLDArrival, 0, n)
+		for day := int64(0); len(arrivals) < n; day++ {
 			if rng.Intn(2) == 0 {
 				arrivals = append(arrivals, deadline.SCLDArrival{T: day, Elem: rng.Intn(elems), D: int64(rng.Intn(12))})
 			}
@@ -563,7 +581,7 @@ func observeStream(b *testing.B, domain string) ([]stream.Event, func() stream.L
 				costs[i][k] = cfg.Cost(k) * f
 			}
 		}
-		batches := make([][]metric.Point, observeEvents)
+		batches := make([][]metric.Point, n)
 		for t := range batches {
 			for c := rng.Intn(3); c > 0; c-- {
 				s := sites[rng.Intn(sitesN)]
@@ -589,8 +607,8 @@ func observeStream(b *testing.B, domain string) ([]stream.Event, func() stream.L
 		if err != nil {
 			b.Fatal(err)
 		}
-		reqs := make([]steiner.Request, observeEvents)
-		for i, c := range connects[:observeEvents] {
+		reqs := make([]steiner.Request, n)
+		for i, c := range connects[:n] {
 			reqs[i] = steiner.Request{Time: c.T, S: c.S, T: c.U}
 		}
 		inst, err := steiner.NewInstance(g, cfg, reqs)

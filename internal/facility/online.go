@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"leasing/internal/core"
@@ -49,10 +50,14 @@ type Options struct {
 // (Proposition 4.2 bounds the detour by a factor 3).
 //
 // Phase 1 is event driven and incremental: each site's clients stay
-// sorted by distance across steps (sorted insertion), pending freezes
-// sit in a min-heap keyed by their trigger, and each closed (site, type)
-// caches the bid sum of its frozen bidders and its last tight time and
-// skips frozen clients in its distance order. Every floating-point sum is
+// sorted by distance across steps (sorted insertion); a step's initial
+// freeze triggers are sorted once into a run, and triggers changed later
+// in the step go to a small min-heap; each closed (site, type) caches the
+// bid sum of its frozen bidders and its last tight time and skips frozen
+// clients in its distance order; and closed facilities are scanned for
+// openings only when the next freeze comes within eps of the earliest
+// tight time, since freezes only delay tight times. Phase 2 checks a
+// conflict over the bidders of one facility. Every floating-point sum is
 // formed from the same terms in the same order as a from-scratch
 // evaluation, so the output is bit-identical to re-sorting and
 // rescanning everything per event.
@@ -123,6 +128,7 @@ func (o *Online) Step(t int64, batch []metric.Point) error {
 		for i := range o.order {
 			o.order[i], o.rank[i] = o.order[i][:0], o.rank[i][:0]
 		}
+		o.ps.queue.run = o.ps.queue.run[:0] // it orders the dropped clients
 	}
 	newStart := len(o.clients)
 	for _, p := range batch {
@@ -192,9 +198,10 @@ type phaseState struct {
 	// tight[ik] caches the facility's last tight time.
 	tight []tightCache
 
-	heap    freezeHeap
-	version []int32 // per client: the version of its live heap entry
-	touched []int32 // clients with a trigger at the current tau
+	queue   freezeQueue
+	trig    []float64 // per client: its live trigger (see trigger)
+	version []int32   // per client: the version of its live queue entry
+	touched []int32   // clients with a trigger at the current tau
 }
 
 func (ps *phaseState) reset(n, m, k int) {
@@ -209,6 +216,7 @@ func (ps *phaseState) reset(n, m, k int) {
 	ps.bidSum = resize(ps.bidSum, m*k)
 	ps.bidsDirty = resize(ps.bidsDirty, m*k)
 	ps.tight = resize(ps.tight, m*k)
+	ps.trig = resize(ps.trig, n)
 	ps.version = resize(ps.version, n)
 	if len(ps.bids) != m*k {
 		ps.bids = make([][]int32, m*k)
@@ -222,7 +230,6 @@ func (ps *phaseState) reset(n, m, k int) {
 		}
 		ps.skip[ik] = skip
 	}
-	ps.heap = ps.heap[:0]
 }
 
 // resize returns s with length n and every element zeroed, reusing its
@@ -252,6 +259,7 @@ func (o *Online) phase1(t int64) error {
 	}
 	for j := range o.clients {
 		cs := &o.clients[j]
+		trig := cs.alphaHat // every potential starts active (see trigger)
 		for kk := 0; kk < k; kk++ {
 			best := math.Inf(1)
 			for i := 0; i < m; i++ {
@@ -260,73 +268,36 @@ func (o *Online) phase1(t int64) error {
 				}
 			}
 			ps.minOpen[j*k+kk] = best
+			trig = min(trig, best)
 		}
-		// Each client starts with one live entry, at version 0.
-		at, _ := o.trigger(j)
-		ps.heap = append(ps.heap, freezeEntry{at: at, j: int32(j)})
+		ps.trig[j] = trig
 	}
-	ps.heap.init()
+	ps.queue.start(ps.trig)
 
 	active := n * k
-	tau := 0.0
+	// bound is the earliest tight time among the facilities still closed
+	// after the last opening scan. Freezes only delay tight times, so a
+	// freeze group whose trigger lies eps below bound cannot be preceded
+	// or accompanied by an opening and needs no scan (DESIGN.md).
+	tau, bound := 0.0, math.Inf(-1)
 	maxEvents := 4*(n*k+m*k) + 16
 	for ev := 0; active > 0; ev++ {
 		if ev > maxEvents {
 			return errors.New("facility: phase 1 exceeded event budget (numerical stall)")
 		}
-		// Next freeze event.
 		nextFreeze := math.Inf(1)
 		if e, ok := o.nextTrigger(); ok {
 			nextFreeze = e.at
 		}
-		// Next facility-opening event.
-		nextOpen := math.Inf(1)
-		for i := 0; i < m; i++ {
-			for kk := 0; kk < k; kk++ {
-				if ps.isOpen[i*k+kk] {
-					continue
-				}
-				if ts := o.tightTime(i, kk, tau); ts < nextOpen {
-					nextOpen = ts
-				}
+		if nextFreeze+eps < bound {
+			tau = nextFreeze
+		} else {
+			next := math.Min(nextFreeze, o.nextOpening(tau))
+			if math.IsInf(next, 1) {
+				return errors.New("facility: phase 1 stalled with active potentials")
 			}
-		}
-		next := math.Min(nextFreeze, nextOpen)
-		if math.IsInf(next, 1) {
-			return errors.New("facility: phase 1 stalled with active potentials")
-		}
-		if next < tau {
-			next = tau
-		}
-		tau = next
-
-		// Open every facility tight at tau.
-		for i := 0; i < m; i++ {
-			for kk := 0; kk < k; kk++ {
-				ik := i*k + kk
-				if ps.isOpen[ik] || o.tightTime(i, kk, tau) > tau+eps {
-					continue
-				}
-				ps.isOpen[ik] = true
-				ps.isTemp[ik] = true
-				ps.openAt[ik] = tau
-				for j := range o.clients {
-					jk := j*k + kk
-					d := o.clients[j].dists[i]
-					if d >= ps.minOpen[jk] {
-						continue
-					}
-					if ps.frozen[jk] {
-						ps.minOpen[jk] = d
-						continue
-					}
-					before, _ := o.trigger(j)
-					ps.minOpen[jk] = d
-					if after, _ := o.trigger(j); after < before {
-						o.pushTrigger(j, after)
-					}
-				}
-			}
+			tau = math.Max(tau, next)
+			bound = o.openTight(tau)
 		}
 		// Freeze cascade at tau, per client whose trigger fired: a new
 		// client's first facility-freeze sets its cap, which immediately
@@ -338,7 +309,7 @@ func (o *Online) phase1(t int64) error {
 			if !ok || e.at > tau+eps {
 				break
 			}
-			ps.heap.pop()
+			ps.queue.pop()
 			ps.touched = append(ps.touched, e.j)
 		}
 		for _, j := range ps.touched {
@@ -351,43 +322,85 @@ func (o *Online) phase1(t int64) error {
 	return nil
 }
 
+// nextOpening returns the earliest tight time, from tau on, of the
+// facilities still closed.
+func (o *Online) nextOpening(tau float64) float64 {
+	ps := &o.ps
+	next := math.Inf(1)
+	for ik, open := range ps.isOpen {
+		if !open {
+			next = math.Min(next, o.tightTime(ik/ps.k, ik%ps.k, tau))
+		}
+	}
+	return next
+}
+
+// openTight temporarily opens every closed facility tight at tau,
+// lowering the triggers of the clients it is now nearest to, and returns
+// the earliest tight time of the facilities left closed.
+func (o *Online) openTight(tau float64) float64 {
+	ps := &o.ps
+	bound := math.Inf(1)
+	for ik, open := range ps.isOpen {
+		if open {
+			continue
+		}
+		i, kk := ik/ps.k, ik%ps.k
+		if at := o.tightTime(i, kk, tau); at > tau+eps {
+			bound = math.Min(bound, at)
+			continue
+		}
+		ps.isOpen[ik] = true
+		ps.isTemp[ik] = true
+		ps.openAt[ik] = tau
+		for j := range o.clients {
+			jk := j*ps.k + kk
+			d := o.clients[j].dists[i]
+			if d >= ps.minOpen[jk] {
+				continue
+			}
+			// An active potential's trigger is the min over its
+			// terms, so a nearer facility lowers it to exactly d.
+			ps.minOpen[jk] = d
+			if !ps.frozen[jk] && d < ps.trig[j] {
+				o.pushTrigger(j, d)
+			}
+		}
+	}
+	return bound
+}
+
 // trigger returns the potential value at which client j's next
 // potential freezes, min over its active types k of min(α̂_j, distance
 // to the nearest open type-k facility), and whether any of its
 // potentials is still active.
 func (o *Online) trigger(j int) (float64, bool) {
 	ps := &o.ps
-	at, live := math.Inf(1), false
+	at, live := o.clients[j].alphaHat, false
 	for kk, jk := 0, j*ps.k; kk < ps.k; kk, jk = kk+1, jk+1 {
 		if !ps.frozen[jk] {
-			at, live = math.Min(at, ps.minOpen[jk]), true
+			at, live = min(at, ps.minOpen[jk]), true
 		}
 	}
-	return math.Min(at, o.clients[j].alphaHat), live
+	return at, live
 }
 
-// pushTrigger makes at client j's live heap entry; its older entries go
-// stale.
+// pushTrigger makes at client j's live trigger; its older queue entries
+// go stale.
 func (o *Online) pushTrigger(j int, at float64) {
 	ps := &o.ps
+	ps.trig[j] = at
 	ps.version[j]++
-	ps.heap.push(freezeEntry{at: at, j: int32(j), version: ps.version[j]})
+	ps.queue.heap.push(freezeEntry{at: at, j: int32(j), version: ps.version[j]})
 }
 
-// nextTrigger drops stale entries off the heap top and returns the
-// earliest live freeze trigger. A client's trigger changes only by
-// falling when a facility opens or by rising when the cascade freezes
-// some of its potentials; both push a fresh entry, and a client whose
-// potentials are all frozen has only stale ones.
+// nextTrigger returns the earliest live freeze trigger. A client's
+// trigger changes only by falling when a facility opens or by rising
+// when the cascade freezes some of its potentials; both push a fresh
+// entry, and a client whose potentials are all frozen has only stale
+// ones.
 func (o *Online) nextTrigger() (freezeEntry, bool) {
-	ps := &o.ps
-	for len(ps.heap) > 0 {
-		if e := ps.heap[0]; e.version == ps.version[e.j] {
-			return e, true
-		}
-		ps.heap.pop()
-	}
-	return freezeEntry{}, false
+	return o.ps.queue.peek(o.ps.version)
 }
 
 // cascade freezes, in type order, every potential of client j that has
@@ -582,15 +595,77 @@ type freezeEntry struct {
 	version int32
 }
 
-// freezeHeap is a binary min-heap of freeze triggers by at, with lazy
-// deletion (see nextTrigger).
-type freezeHeap []freezeEntry
+// freezeQueue holds the pending freeze triggers: the step's initial
+// triggers as one sorted run, read from head, and a min-heap of the
+// triggers pushed since. An entry is live while its version is its
+// client's current one; stale entries are dropped when they surface.
+// Entries with equal triggers may surface in any order: a freeze group
+// takes every trigger within eps of the earliest, a client's cascade
+// reads only its own potentials and the open facilities, and a bid sum
+// is rebuilt in client-index order after any out-of-order insertion.
+type freezeQueue struct {
+	run  []freezeEntry
+	head int
+	heap freezeHeap
+}
 
-func (h freezeHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
+// start begins a step with one live entry per client j, at version 0,
+// keyed by trig[j]. The run keeps the previous step's client order, which
+// old clients' fixed caps leave nearly sorted, and appends the new
+// clients.
+func (q *freezeQueue) start(trig []float64) {
+	for p, e := range q.run {
+		q.run[p] = freezeEntry{at: trig[e.j], j: e.j}
+	}
+	for j := len(q.run); j < len(trig); j++ {
+		q.run = append(q.run, freezeEntry{at: trig[j], j: int32(j)})
+	}
+	slices.SortFunc(q.run, func(a, b freezeEntry) int {
+		switch {
+		case a.at < b.at:
+			return -1
+		case a.at > b.at:
+			return 1
+		}
+		return 0
+	})
+	q.head, q.heap = 0, q.heap[:0]
+}
+
+// peek drops stale entries off both heads and returns the earlier live
+// one.
+func (q *freezeQueue) peek(version []int32) (freezeEntry, bool) {
+	for q.head < len(q.run) && q.run[q.head].version != version[q.run[q.head].j] {
+		q.head++
+	}
+	for len(q.heap) > 0 && q.heap[0].version != version[q.heap[0].j] {
+		q.heap.pop()
+	}
+	switch {
+	case q.fromRun():
+		return q.run[q.head], true
+	case len(q.heap) > 0:
+		return q.heap[0], true
+	}
+	return freezeEntry{}, false
+}
+
+// fromRun reports whether the run's head precedes the heap's.
+func (q *freezeQueue) fromRun() bool {
+	return q.head < len(q.run) && (len(q.heap) == 0 || q.run[q.head].at <= q.heap[0].at)
+}
+
+// pop removes the entry peek returned.
+func (q *freezeQueue) pop() {
+	if q.fromRun() {
+		q.head++
+	} else {
+		q.heap.pop()
 	}
 }
+
+// freezeHeap is a binary min-heap of freeze entries by at.
+type freezeHeap []freezeEntry
 
 func (h *freezeHeap) push(e freezeEntry) {
 	*h = append(*h, e)
@@ -642,9 +717,11 @@ func (o *Online) phase2(t int64, newStart int) {
 		selected = ps.selected
 	)
 
+	// Every client is frozen once phase 1 ends, so the bidders of (i1, kk)
+	// are every client whose potential exceeds its distance to i1.
 	conflict := func(kk, i1, i2 int) bool {
-		for j := 0; j < n; j++ {
-			a := ps.alpha[j*k+kk]
+		for _, j := range ps.bids[i1*k+kk] {
+			a := ps.alpha[int(j)*k+kk]
 			d1 := o.clients[j].dists[i1]
 			d2 := o.clients[j].dists[i2]
 			if a > d1+eps && a > d2+eps {
