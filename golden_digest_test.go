@@ -120,6 +120,76 @@ func TestGoldenFacilityDuals(t *testing.T) {
 	}
 }
 
+// TestGoldenCoverFractional pins the fractional side of set cover and
+// SCLD: after every arrival it hashes the bits of the integral cost, the
+// bits of the fractional cost and the fallback count. The run digests
+// above see only purchases, so a reordered fractional-cost sum, which
+// flips no purchase, moves only this digest. At the default draw count
+// the fallback never fires on these streams; the one-draw case rounds
+// against a single uniform, so it fires there dozens of times a stream.
+func TestGoldenCoverFractional(t *testing.T) {
+	cases := []struct {
+		name   string
+		digest string
+		run    func(t *testing.T, seed int64, step func(coverAlg))
+	}{
+		{"setcover/per-arrival", "f361f8823bb108b72574eed9dbab8a18699000c8dd72fc96ec0a4dd0ea041ae3", goldenCoverSteps(setcover.PerArrival, setcover.Options{})},
+		{"setcover/one-draw", "74b1202faf38c73253515d9af1eb0e6058e5d5353b2bc3c7ff3dcdafb3a46af7", goldenCoverSteps(setcover.PerArrival, setcover.Options{RoundingDraws: 1})},
+		{"setcover/per-element", "5ebd30e42f8a6f264b43a261a1848fb2f6fafbe3af62f0b38727705c8c6afef5", goldenCoverSteps(setcover.PerElement, setcover.Options{})},
+		{"deadline/scld", "13d6097fd8fccd7bc80b2ccb6c51fd0772cc739d4b622c86e4beeebb296a9062", func(t *testing.T, seed int64, step func(coverAlg)) {
+			inst := goldenSCLDInstance(t, seed)
+			alg, err := deadline.NewSCLDOnline(inst, rand.New(rand.NewSource(seed+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range inst.Arrivals {
+				if err := alg.Arrive(a.T, a.Elem, a.D); err != nil {
+					t.Fatal(err)
+				}
+				step(alg)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := sha256.New()
+			for s := int64(0); s < goldenStreams; s++ {
+				tc.run(t, 1000*s+7, func(alg coverAlg) {
+					fmt.Fprintf(h, "%x,%x,%d;", math.Float64bits(alg.TotalCost()), math.Float64bits(alg.FractionalCost()), alg.Fallbacks())
+				})
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Errorf("digest %s, want %s: the fractional cover changed", got, tc.digest)
+			}
+		})
+	}
+}
+
+// coverAlg is the fractional side that set cover and SCLD both report.
+type coverAlg interface {
+	TotalCost() float64
+	FractionalCost() float64
+	Fallbacks() int
+}
+
+// goldenCoverSteps runs goldenSetCoverInstance's arrivals through set
+// cover, calling step after each.
+func goldenCoverSteps(scope setcover.ExclusionScope, opts setcover.Options) func(*testing.T, int64, func(coverAlg)) {
+	return func(t *testing.T, seed int64, step func(coverAlg)) {
+		inst := goldenSetCoverInstance(t, seed, scope)
+		alg, err := setcover.NewOnline(inst, rand.New(rand.NewSource(seed+1)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range inst.Arrivals {
+			if err := alg.Arrive(a.T, a.Elem, a.P); err != nil {
+				t.Fatal(err)
+			}
+			step(alg)
+		}
+	}
+}
+
 // hashReplay writes one stream's output into h: the Replay run bytes,
 // final cost and snapshot of one leaser, then the every-4-events
 // snapshots of a second.
@@ -199,38 +269,8 @@ func goldenFacilityInstance(t *testing.T, seed int64) *facility.Instance {
 
 func goldenSetCover(scope setcover.ExclusionScope) func(*testing.T, int64) ([]stream.Event, func() stream.Leaser) {
 	return func(t *testing.T, seed int64) ([]stream.Event, func() stream.Leaser) {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := goldenConfig()
-		arr, err := workload.NewArrival("constant", 0.5, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const elems, sets, delta = 24, 16, 3
-		arrivals := workload.ElementArrivals(rng, 400, arr,
-			func() int { return rng.Intn(elems) }, func() int { return 1 + rng.Intn(2) })
-		fam, err := setcover.RandomFamily(rng, elems, sets, delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if scope == setcover.PerElement {
-			// Repetitions must fit in distinct sets: cut each element's
-			// cumulative demand at the number of sets containing it.
-			demand := map[int]int{}
-			kept := arrivals[:0]
-			for _, a := range arrivals {
-				if demand[a.Elem]+a.P <= len(fam.Containing(a.Elem)) {
-					demand[a.Elem] += a.P
-					kept = append(kept, a)
-				}
-			}
-			arrivals = kept
-		}
-		costs := setcover.RandomCosts(rng, sets, cfg, 0.5)
-		inst, err := setcover.NewInstance(fam, cfg, costs, arrivals, scope)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stream.Elements(arrivals), func() stream.Leaser {
+		inst := goldenSetCoverInstance(t, seed, scope)
+		return stream.Elements(inst.Arrivals), func() stream.Leaser {
 			alg, err := setcover.NewOnline(inst, rand.New(rand.NewSource(seed+1)), setcover.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -238,6 +278,43 @@ func goldenSetCover(scope setcover.ExclusionScope) func(*testing.T, int64) ([]st
 			return setcover.NewLeaser(alg)
 		}
 	}
+}
+
+// goldenSetCoverInstance is 400 arrivals of multiplicity 1–2 over 24
+// elements, each in 3 of 16 sets.
+func goldenSetCoverInstance(t *testing.T, seed int64, scope setcover.ExclusionScope) *setcover.Instance {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := goldenConfig()
+	arr, err := workload.NewArrival("constant", 0.5, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const elems, sets, delta = 24, 16, 3
+	arrivals := workload.ElementArrivals(rng, 400, arr,
+		func() int { return rng.Intn(elems) }, func() int { return 1 + rng.Intn(2) })
+	fam, err := setcover.RandomFamily(rng, elems, sets, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scope == setcover.PerElement {
+		// Repetitions must fit in distinct sets: cut each element's
+		// cumulative demand at the number of sets containing it.
+		demand := map[int]int{}
+		kept := arrivals[:0]
+		for _, a := range arrivals {
+			if demand[a.Elem]+a.P <= len(fam.Containing(a.Elem)) {
+				demand[a.Elem] += a.P
+				kept = append(kept, a)
+			}
+		}
+		arrivals = kept
+	}
+	costs := setcover.RandomCosts(rng, sets, cfg, 0.5)
+	inst, err := setcover.NewInstance(fam, cfg, costs, arrivals, scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
 }
 
 func goldenSteiner(t *testing.T, seed int64) ([]stream.Event, func() stream.Leaser) {
@@ -289,6 +366,19 @@ func goldenDeadline(t *testing.T, seed int64) ([]stream.Event, func() stream.Lea
 }
 
 func goldenSCLD(t *testing.T, seed int64) ([]stream.Event, func() stream.Leaser) {
+	inst := goldenSCLDInstance(t, seed)
+	return deadline.SCLDEvents(inst.Arrivals), func() stream.Leaser {
+		alg, err := deadline.NewSCLDOnline(inst, rand.New(rand.NewSource(seed+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return deadline.NewSCLDStream(alg)
+	}
+}
+
+// goldenSCLDInstance is 300 days, each with an even chance of one
+// arrival of slack 0–9, over 20 elements, each in 3 of 12 sets.
+func goldenSCLDInstance(t *testing.T, seed int64) *deadline.SCLDInstance {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := goldenConfig()
 	const elems, sets, delta = 20, 12, 3
@@ -307,13 +397,7 @@ func goldenSCLD(t *testing.T, seed int64) ([]stream.Event, func() stream.Leaser)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return deadline.SCLDEvents(arrivals), func() stream.Leaser {
-		alg, err := deadline.NewSCLDOnline(inst, rand.New(rand.NewSource(seed+1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return deadline.NewSCLDStream(alg)
-	}
+	return inst
 }
 
 // noJournal hides the built-in algorithm's purchase journal, so the
