@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"leasing/internal/lease"
@@ -369,22 +370,79 @@ func TestSCLDValidation(t *testing.T) {
 	}
 }
 
+// TestSCLDZeroSlackIsSetCoverLeasing runs SCLD with every slack zero
+// beside the set cover algorithm in PerArrival scope with multiplicity 1,
+// the same draw count and the same rng seed. Corollary 5.8 says these are
+// one algorithm; they must agree bit for bit after every arrival: the
+// purchases in order, the costs and the fallback count. Each run must
+// also be feasible and track a fractional cost. The second
+// configuration has one costly lease type, so fractions rise in small
+// steps against two-draw thresholds and the fallback fires.
 func TestSCLDZeroSlackIsSetCoverLeasing(t *testing.T) {
-	// With all slacks zero SCLD is exactly SetCoverLeasing; verify the run
-	// stays feasible and the fractional cost is tracked (Corollary 5.8's
-	// time-independent algorithm).
-	inst := newSCLDFixture(t, 42, 48, 0)
-	alg, err := NewSCLDOnline(inst, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
+	fallbacks := 0
+	for _, cfg := range []*lease.Config{lease.PowerConfig(3, 4, 0.55), lease.MustConfig(lease.Type{Length: 1, Cost: 50})} {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			fam, err := setcover.RandomFamily(rng, 12, 8, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			costs := setcover.RandomCosts(rng, fam.M(), cfg, 0.5)
+			var scld []SCLDArrival
+			var sc []workload.ElementArrival
+			for day := int64(0); day < 200; day++ {
+				if rng.Intn(2) == 0 {
+					e := rng.Intn(fam.N())
+					scld = append(scld, SCLDArrival{T: day, Elem: e})
+					sc = append(sc, workload.ElementArrival{T: day, Elem: e, P: 1})
+				}
+			}
+			scldInst, err := NewSCLDInstance(fam, cfg, costs, scld)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scInst, err := setcover.NewInstance(fam, cfg, costs, sc, setcover.PerArrival)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := NewSCLDOnline(scldInst, rand.New(rand.NewSource(seed+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			draws := 2 * int(math.Ceil(math.Log2(float64(cfg.LMax()+1))))
+			b, err := setcover.NewOnline(scInst, rand.New(rand.NewSource(seed+1)), setcover.Options{RoundingDraws: draws})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ar := range scld {
+				if err := a.Arrive(ar.T, ar.Elem, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.Arrive(ar.T, ar.Elem, 1); err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case !reflect.DeepEqual(a.BoughtSince(0), b.BoughtSince(0)):
+					t.Fatalf("lmax %d seed %d arrival %d: purchases %v, set cover %v", cfg.LMax(), seed, i, a.BoughtSince(0), b.BoughtSince(0))
+				case !reflect.DeepEqual(a.Bought(), b.Bought()):
+					t.Fatalf("lmax %d seed %d arrival %d: Bought differs", cfg.LMax(), seed, i)
+				case math.Float64bits(a.TotalCost()) != math.Float64bits(b.TotalCost()),
+					math.Float64bits(a.FractionalCost()) != math.Float64bits(b.FractionalCost()),
+					a.Fallbacks() != b.Fallbacks():
+					t.Fatalf("lmax %d seed %d arrival %d: cost %v/%v fractional %v/%v fallbacks %d/%d", cfg.LMax(), seed, i,
+						a.TotalCost(), b.TotalCost(), a.FractionalCost(), b.FractionalCost(), a.Fallbacks(), b.Fallbacks())
+				}
+			}
+			if err := VerifySCLDFeasible(scldInst, a.Bought()); err != nil {
+				t.Fatalf("lmax %d seed %d: %v", cfg.LMax(), seed, err)
+			}
+			if len(scld) > 0 && a.FractionalCost() <= 0 {
+				t.Errorf("lmax %d seed %d: fractional cost not tracked", cfg.LMax(), seed)
+			}
+			fallbacks += a.Fallbacks()
+		}
 	}
-	if err := alg.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySCLDFeasible(inst, alg.Bought()); err != nil {
-		t.Fatal(err)
-	}
-	if len(inst.Arrivals) > 0 && alg.FractionalCost() <= 0 {
-		t.Error("fractional cost not tracked")
+	if fallbacks == 0 {
+		t.Error("no run took the fallback, so the sweep does not compare it")
 	}
 }

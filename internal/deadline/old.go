@@ -6,6 +6,11 @@
 // equal). The package also implements the tight example of Proposition 5.4
 // (Figure 5.3), SetCoverLeasingWithDeadlines (SCLD, Section 5.5) with its
 // randomized algorithm, and exact offline optima for both.
+//
+// The OLD primal-dual is Online (old.go). SCLD's Algorithm 5 is
+// SCLDOnline (scld.go): one setcover.Fractional cover, the Section 3.3
+// core that set cover's Algorithms 3 and 4 also run, per demand over the
+// triples whose windows meet [t, t+d].
 package deadline
 
 import (

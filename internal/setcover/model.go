@@ -8,6 +8,14 @@
 // the reductions to OnlineSetMulticover (K=1, l_1=∞; Corollary 3.4) and
 // OnlineSetCoverWithRepetitions (Corollary 3.5), an offline greedy
 // baseline, and an exact ILP optimum for small instances.
+//
+// Algorithm 3 (i-Cover: the multiplicative fractional raise, the
+// min-of-uniforms threshold rounding and the cheapest-candidate fallback)
+// lives once, in Fractional (fractional.go). Online (online.go) is
+// Algorithm 4: it serves an arrival in p layers, each a Fractional.Cover
+// over the candidates outside the sets already used. Package deadline's
+// Algorithm 5 (SCLD) runs the same Fractional over deadline-widened
+// candidates.
 package setcover
 
 import (

@@ -3,10 +3,7 @@ package setcover
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
-
-	"leasing/internal/stream"
 )
 
 // Options tunes the online algorithm.
@@ -20,23 +17,15 @@ type Options struct {
 }
 
 // Online is the randomized algorithm of Section 3.3 (Algorithms 3 and 4):
-// it maintains a monotone fraction per candidate triple, raises the
-// fractions of a demand's candidates until they sum to one, rounds with
-// per-triple min-of-uniforms thresholds, and falls back to buying the
-// cheapest candidate when rounding leaves a layer uncovered.
+// each arrival of multiplicity p is served in p layers, and each layer is
+// one Fractional.Cover over the element's candidates outside the sets
+// already used for it.
 type Online struct {
-	inst   *Instance
-	rng    *rand.Rand
-	draws  int
-	frac   map[SetLease]float64
-	mu     map[SetLease]float64
-	bought stream.Journal[SetLease]
+	inst *Instance
+	frac Fractional
 	// usedByElem tracks, per element, the sets counted for earlier arrivals
 	// (PerElement scope only).
 	usedByElem map[int]map[int]bool
-	total      float64
-	fracCost   float64
-	fallbacks  int
 	lastT      int64
 	started    bool
 }
@@ -56,142 +45,52 @@ func NewOnline(inst *Instance, rng *rand.Rand, opts Options) (*Online, error) {
 		if inst.Scope == PerElement {
 			base = inst.Fam.Delta()*inst.Fam.N() + 1
 		}
-		draws = 2 * int(math.Ceil(math.Log2(float64(base))))
-		if draws < 1 {
-			draws = 1
-		}
+		draws = ThresholdDraws(base)
 	}
 	return &Online{
 		inst:       inst,
-		rng:        rng,
-		draws:      draws,
-		frac:       make(map[SetLease]float64),
-		mu:         make(map[SetLease]float64),
+		frac:       NewFractional(inst.Costs, rng, draws),
 		usedByElem: make(map[int]map[int]bool),
 	}, nil
 }
 
-// threshold lazily samples the rounding threshold of a triple: the minimum
-// of `draws` independent uniforms, fixed for the triple's lifetime.
-func (o *Online) threshold(sl SetLease) float64 {
-	if mu, ok := o.mu[sl]; ok {
-		return mu
-	}
-	mu := 1.0
-	for i := 0; i < o.draws; i++ {
-		if u := o.rng.Float64(); u < mu {
-			mu = u
-		}
-	}
-	o.mu[sl] = mu
-	return mu
-}
-
-func (o *Online) buy(sl SetLease) bool {
-	if !o.bought.Add(sl) {
-		return false
-	}
-	o.total += o.inst.Costs[sl.Set][sl.K]
-	return true
-}
-
 // Arrive processes the demand (element e, multiplicity p) at time t,
-// leasing sets until p distinct sets containing e are leased over t.
+// leasing sets until p distinct sets containing e are leased over t. It
+// checks the whole demand first: a rejected arrival buys nothing and
+// leaves the time floor where it was.
 func (o *Online) Arrive(t int64, e int, p int) error {
 	if o.started && t < o.lastT {
 		return fmt.Errorf("setcover: arrival at %d precedes %d", t, o.lastT)
 	}
-	o.started, o.lastT = true, t
 	if e < 0 || e >= o.inst.Fam.N() {
 		return fmt.Errorf("setcover: element %d outside universe", e)
 	}
 	if p < 1 {
 		return fmt.Errorf("setcover: multiplicity %d < 1", p)
 	}
+	// Each layer excludes the sets of the layers before it (and, per
+	// element, of earlier arrivals), so the last layer finds a candidate
+	// exactly when p sets remain.
+	if left := len(o.inst.Fam.Containing(e)) - len(o.usedByElem[e]); p > left {
+		return fmt.Errorf("setcover: element %d demands %d sets at %d but only %d are left (infeasible demand)", e, p, t, left)
+	}
+	o.started, o.lastT = true, t
 
+	// In PerElement scope the exclusion list is the element's own record,
+	// so the sets used here stay excluded for its later arrivals.
 	exclude := map[int]bool{}
 	if o.inst.Scope == PerElement {
-		for s := range o.usedByElem[e] {
-			exclude[s] = true
+		if o.usedByElem[e] == nil {
+			o.usedByElem[e] = make(map[int]bool)
 		}
+		exclude = o.usedByElem[e]
 	}
 	for layer := 0; layer < p; layer++ {
-		usedSet, err := o.coverOnce(t, e, exclude)
-		if err != nil {
-			return fmt.Errorf("setcover: element %d layer %d at %d: %w", e, layer, t, err)
-		}
-		exclude[usedSet] = true
-		if o.inst.Scope == PerElement {
-			if o.usedByElem[e] == nil {
-				o.usedByElem[e] = make(map[int]bool)
-			}
-			o.usedByElem[e][usedSet] = true
-		}
+		// Algorithm 3 (i-Cover): lease a candidate outside the exclusion
+		// list and count its set for this layer.
+		exclude[o.frac.Cover(o.inst.Candidates(e, t, exclude)).Set] = true
 	}
 	return nil
-}
-
-// coverOnce is Algorithm 3 (i-Cover): it guarantees that after it returns,
-// at least one candidate outside the exclusion list is leased, and returns
-// the set chosen to account for this layer.
-func (o *Online) coverOnce(t int64, e int, exclude map[int]bool) (int, error) {
-	cands := o.inst.Candidates(e, t, exclude)
-	if len(cands) == 0 {
-		return 0, errors.New("no candidates left (infeasible demand)")
-	}
-
-	// Fractional phase: multiplicative increments until the candidate mass
-	// reaches one.
-	sum := 0.0
-	for _, c := range cands {
-		sum += o.frac[c]
-	}
-	for sum < 1 {
-		sum = 0
-		for _, c := range cands {
-			cost := o.inst.Costs[c.Set][c.K]
-			f := o.frac[c]
-			nf := f*(1+1/cost) + 1/(float64(len(cands))*cost)
-			o.frac[c] = nf
-			o.fracCost += (nf - f) * cost
-			sum += nf
-		}
-	}
-
-	// Rounding phase: lease every candidate whose fraction clears its
-	// threshold; remember leased candidates (new or previously bought).
-	chosen := -1
-	chosenCost := math.Inf(1)
-	for _, c := range cands {
-		leased := false
-		if o.bought.Has(c) {
-			leased = true
-		} else if o.frac[c] > o.threshold(c) {
-			o.buy(c)
-			leased = true
-		}
-		if leased {
-			if cc := o.inst.Costs[c.Set][c.K]; cc < chosenCost {
-				chosen, chosenCost = c.Set, cc
-			}
-		}
-	}
-	if chosen >= 0 {
-		return chosen, nil
-	}
-
-	// Fallback: lease the cheapest candidate to guarantee feasibility. The
-	// analysis shows this fires with probability at most 1/n^2.
-	o.fallbacks++
-	best := cands[0]
-	bestCost := o.inst.Costs[best.Set][best.K]
-	for _, c := range cands[1:] {
-		if cc := o.inst.Costs[c.Set][c.K]; cc < bestCost {
-			best, bestCost = c, cc
-		}
-	}
-	o.buy(best)
-	return best.Set, nil
 }
 
 // Run feeds the whole instance stream through the algorithm.
@@ -205,26 +104,22 @@ func (o *Online) Run() error {
 }
 
 // TotalCost returns the integral solution cost so far.
-func (o *Online) TotalCost() float64 { return o.total }
+func (o *Online) TotalCost() float64 { return o.frac.TotalCost() }
 
 // FractionalCost returns the accumulated fractional cost (the quantity
 // Lemma 3.1 bounds by O(log(δK)) * OPT).
-func (o *Online) FractionalCost() float64 { return o.fracCost }
+func (o *Online) FractionalCost() float64 { return o.frac.FractionalCost() }
 
 // Fallbacks returns how often the buy-cheapest fallback fired.
-func (o *Online) Fallbacks() int { return o.fallbacks }
+func (o *Online) Fallbacks() int { return o.frac.Fallbacks() }
 
 // Bought returns the leased triples in canonical (set, type, start)
 // order, so snapshots built from it are identical across runs.
-func (o *Online) Bought() []SetLease {
-	out := append(make([]SetLease, 0, o.bought.Len()), o.bought.Since(0)...)
-	SortSetLeases(out)
-	return out
-}
+func (o *Online) Bought() []SetLease { return o.frac.Bought() }
 
 // BoughtSince returns the triples leased after the first n, in purchase
 // order, for the streaming adapter's O(new) decision diff.
-func (o *Online) BoughtSince(n int) []SetLease { return o.bought.Since(n) }
+func (o *Online) BoughtSince(n int) []SetLease { return o.frac.BoughtSince(n) }
 
 // VerifyFeasible replays the instance stream against the final solution and
 // checks every arrival is covered by the required number of distinct sets.
