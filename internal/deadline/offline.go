@@ -19,26 +19,9 @@ func Optimal(in *Instance, nodeLimit int) (float64, error) {
 	if len(in.Clients) == 0 {
 		return 0, nil
 	}
-	candIdx := map[lease.Lease]int{}
-	var cands []lease.Lease
-	for _, c := range in.Clients {
-		for _, l := range in.Cfg.IntersectingAll(c.T, c.T+c.D) {
-			if _, ok := candIdx[l]; !ok {
-				candIdx[l] = len(cands)
-				cands = append(cands, l)
-			}
-		}
-	}
-	costs := make([]float64, len(cands))
-	for i, l := range cands {
-		costs[i] = in.Cfg.Cost(l.K)
-	}
+	costs, rows := in.program()
 	prob := ilp.NewBinaryMinimize(costs)
-	for _, c := range in.Clients {
-		row := map[int]float64{}
-		for _, l := range in.Cfg.IntersectingAll(c.T, c.T+c.D) {
-			row[candIdx[l]] = 1
-		}
+	for _, row := range rows {
 		if err := prob.Add(row, lp.GE, 1); err != nil {
 			return 0, err
 		}
@@ -58,26 +41,9 @@ func LPLowerBound(in *Instance) (float64, error) {
 	if len(in.Clients) == 0 {
 		return 0, nil
 	}
-	candIdx := map[lease.Lease]int{}
-	var cands []lease.Lease
-	for _, c := range in.Clients {
-		for _, l := range in.Cfg.IntersectingAll(c.T, c.T+c.D) {
-			if _, ok := candIdx[l]; !ok {
-				candIdx[l] = len(cands)
-				cands = append(cands, l)
-			}
-		}
-	}
-	costs := make([]float64, len(cands))
-	for i, l := range cands {
-		costs[i] = in.Cfg.Cost(l.K)
-	}
+	costs, rows := in.program()
 	prob := lp.NewMinimize(costs)
-	for _, c := range in.Clients {
-		row := map[int]float64{}
-		for _, l := range in.Cfg.IntersectingAll(c.T, c.T+c.D) {
-			row[candIdx[l]] = 1
-		}
+	for _, row := range rows {
 		if err := prob.Add(row, lp.GE, 1); err != nil {
 			return 0, err
 		}
@@ -90,6 +56,37 @@ func LPLowerBound(in *Instance) (float64, error) {
 		return 0, fmt.Errorf("deadline: LP status %v", sol.Status)
 	}
 	return sol.Objective, nil
+}
+
+// program is the offline covering program over the aligned leases
+// meeting some client's window: see coverProgram.
+func (in *Instance) program() (costs []float64, rows []map[int]float64) {
+	return coverProgram(len(in.Clients),
+		func(i int) []lease.Lease { c := in.Clients[i]; return in.Cfg.IntersectingAll(c.T, c.T+c.D) },
+		func(l lease.Lease) float64 { return in.Cfg.Cost(l.K) })
+}
+
+// coverProgram builds the covering program that the offline optima of
+// OLD and SCLD solve: it numbers the distinct candidates of n demands in
+// order of first appearance and returns their costs and one row per
+// demand, with coefficient 1 on each of its candidates.
+func coverProgram[T comparable](n int, cands func(i int) []T, cost func(T) float64) (costs []float64, rows []map[int]float64) {
+	index := map[T]int{}
+	rows = make([]map[int]float64, n)
+	for i := range rows {
+		row := map[int]float64{}
+		for _, c := range cands(i) {
+			j, ok := index[c]
+			if !ok {
+				j = len(costs)
+				index[c] = j
+				costs = append(costs, cost(c))
+			}
+			row[j] = 1
+		}
+		rows[i] = row
+	}
+	return costs, rows
 }
 
 // GreedySingleType computes the exact optimum for K=1 configurations with
